@@ -18,7 +18,8 @@ from its manifest alone.
 Exit codes: 0 success, 1 configuration error (bad flags, bad config
 file, unusable oracle spec), 2 data error (missing or malformed input
 files), 3 oracle failure (transport errors, exhausted fallbacks,
-unparseable verdicts).
+unparseable verdicts), 4 internal error (any other exception, reported
+in one line instead of a traceback).
 
 Config files hold one `key = value` pair per line (# comments allowed)
 and are merged in as if the flags had been typed before the real
@@ -32,20 +33,20 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import statistics
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__, corpus, graph, linkpred, llm, metrics, pipeline, query, recovery
+from . import __version__, corpus, files, graph, linkpred, llm, metrics, pipeline, query, recovery
 from .textnorm import normalize_name
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_ORACLE = 3
+EXIT_INTERNAL = 4
 
 MANIFEST_NAME = "manifest.json"
 
@@ -66,6 +67,10 @@ class DataError(CliError):
 
 class OracleError(CliError):
     exit_code = EXIT_ORACLE
+
+
+class InternalError(CliError):
+    exit_code = EXIT_INTERNAL
 
 
 def _map_exception(exc: Exception) -> CliError:
@@ -104,7 +109,8 @@ def _map_exception(exc: Exception) -> CliError:
         ),
     ):
         return DataError(str(exc))
-    raise exc
+    detail = " ".join(str(exc).split())
+    return InternalError(f"internal error: {type(exc).__name__}: {detail}")
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -310,13 +316,6 @@ def _config_snapshot(args: argparse.Namespace) -> dict[str, object]:
     return {key: value for key, value in vars(args).items() if key not in hidden}
 
 
-def _write_text(path: Path, text: str) -> None:
-    # atomic so a crashed run never leaves a half-written file
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def write_manifest(
     args: argparse.Namespace, inputs: list[Path], outputs: list[Path]
 ) -> Path:
@@ -330,7 +329,9 @@ def write_manifest(
         outputs=tuple(sorted(str(p) for p in outputs)),
     )
     path = Path(args.output_dir) / MANIFEST_NAME
-    _write_text(path, json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
+    files.write_text_atomic(
+        path, json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n"
+    )
     return path
 
 
@@ -547,7 +548,9 @@ def cmd_train(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
         "losses": list(losses),
     }
     report_path = _out(args, "train-report.json")
-    _write_text(report_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    files.write_text_atomic(
+        report_path, json.dumps(report, indent=2, sort_keys=True) + "\n"
+    )
     return [Path(args.embeddings), Path(args.edges)], [checkpoint, report_path]
 
 
@@ -574,40 +577,27 @@ def cmd_eval(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
         report = metrics.binary_report(predictions, gold)
         payload = metrics.report_payload(report, metadata)
     else:
-        if len(predictions) != len(gold):
-            raise metrics.LengthMismatch(
-                f"got {len(predictions)} prediction lines for {len(gold)} gold lines"
-            )
-        if not predictions:
-            raise metrics.EmptyList("no prediction lines to score")
         matcher = metrics.SimilarityMatcher(_make_embedder(args.embedder, args.seed), args.mu)
-        one_to_one = args.one_to_one == "on"
-        triples = []
-        for number, (pred_line, gold_line) in enumerate(zip(predictions, gold), start=1):
-            predicted = pipeline.parse_concept_list(pred_line)
-            relevant = pipeline.parse_concept_list(gold_line)
-            if not relevant:
-                raise DataError(f"gold line {number} has no concepts")
-            if not predicted:
-                triples.append((0.0, 0.0, 0.0))
-                continue
-            triples.append(
-                metrics.similarity_f1(predicted, relevant, matcher, one_to_one=one_to_one)
-            )
+        precision, recall, s_f1 = metrics.mean_similarity_f1(
+            [pipeline.parse_concept_list(line) for line in predictions],
+            [pipeline.parse_concept_list(line) for line in gold],
+            matcher,
+            one_to_one=args.one_to_one == "on",
+        )
         payload = dict(metadata)
         payload.update(
             {
-                "lines": len(triples),
+                "lines": len(predictions),
                 "mu": args.mu,
                 "embedder": args.embedder,
-                "precision": statistics.fmean(t[0] for t in triples),
-                "recall": statistics.fmean(t[1] for t in triples),
-                "s_f1": statistics.fmean(t[2] for t in triples),
+                "precision": precision,
+                "recall": recall,
+                "s_f1": s_f1,
             }
         )
 
     report_path = _out(args, "eval-report.json")
-    _write_text(report_path, metrics.report_json(payload))
+    files.write_text_atomic(report_path, metrics.report_json(payload))
     print(metrics.render_report(payload), end="")
     return [Path(args.predictions), Path(args.gold)], [report_path]
 
@@ -641,16 +631,13 @@ def cmd_qa(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
 
     outputs: list[Path] = []
     answers_path = _out(args, "answers.jsonl")
-    lines = []
-    for item, (answer, _trace) in zip(items, results):
-        lines.append(
-            json.dumps(
-                {"task": item.task, "question": item.question, "answer": answer},
-                sort_keys=True,
-                ensure_ascii=False,
-            )
-        )
-    _write_text(answers_path, "\n".join(lines) + "\n" if lines else "")
+    files.write_jsonl(
+        answers_path,
+        (
+            {"task": item.task, "question": item.question, "answer": answer}
+            for item, (answer, _trace) in zip(items, results)
+        ),
+    )
     outputs.append(answers_path)
 
     if args.trace == "on":
@@ -670,8 +657,7 @@ def cmd_qa(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
                 [answer for _, answer in pairs], [item.answer for item, _ in pairs]
             )
             payload = metrics.report_payload(report, {"task": task})
-            path = _out(args, f"qa-report-task{task}.json")
-            _write_text(path, metrics.report_json(payload))
+            name = f"qa-report-task{task}.json"
         elif task == 5:
             uniques = []
             totals = []
@@ -685,28 +671,24 @@ def cmd_qa(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
                 "mean_unique_mentions": statistics.fmean(uniques),
                 "mean_total_mentions": statistics.fmean(totals),
             }
-            path = _out(args, "qa-mentions-task5.json")
-            _write_text(path, metrics.report_json(payload))
+            name = "qa-mentions-task5.json"
         else:
-            triples = []
-            for item, answer in pairs:
-                predicted = pipeline.parse_concept_list(answer)
-                if not predicted:
-                    triples.append((0.0, 0.0, 0.0))
-                    continue
-                triples.append(
-                    metrics.similarity_f1(predicted, list(item.answer), matcher)
-                )
+            precision, recall, s_f1 = metrics.mean_similarity_f1(
+                [pipeline.parse_concept_list(answer) for _, answer in pairs],
+                [item.answer for item, _ in pairs],
+                matcher,
+            )
             payload = {
                 "task": task,
                 "items": len(pairs),
                 "mu": args.mu,
-                "precision": statistics.fmean(t[0] for t in triples),
-                "recall": statistics.fmean(t[1] for t in triples),
-                "s_f1": statistics.fmean(t[2] for t in triples),
+                "precision": precision,
+                "recall": recall,
+                "s_f1": s_f1,
             }
-            path = _out(args, f"qa-report-task{task}.json")
-            _write_text(path, metrics.report_json(payload))
+            name = f"qa-report-task{task}.json"
+        path = _out(args, name)
+        files.write_text_atomic(path, metrics.report_json(payload))
         outputs.append(path)
 
     inputs = [Path(args.concepts), Path(args.edges), Path(args.tutorqa)]
@@ -716,7 +698,7 @@ def cmd_qa(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
 def cmd_fixtures(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
     judgments = recovery.canonicalize_judgments(recovery.load_judgments(args.judgments))
     by_id = {c.id: c for c in graph.load_concepts(args.concepts)}
-    lines = []
+    rows = []
     for judgment in judgments:
         try:
             a = by_id[judgment.source]
@@ -725,20 +707,16 @@ def cmd_fixtures(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
             raise DataError(
                 f"judgment references unknown concept id {exc.args[0]!r}"
             ) from None
-        lines.append(
-            json.dumps(
-                {
-                    "a": a.name,
-                    "b": b.name,
-                    "variant": judgment.variant,
-                    "response": judgment.raw_response,
-                },
-                sort_keys=True,
-                ensure_ascii=False,
-            )
+        rows.append(
+            {
+                "a": a.name,
+                "b": b.name,
+                "variant": judgment.variant,
+                "response": judgment.raw_response,
+            }
         )
     fixtures_path = _out(args, "fixtures.jsonl")
-    _write_text(fixtures_path, "\n".join(lines) + "\n" if lines else "")
+    files.write_jsonl(fixtures_path, rows)
     return [Path(args.judgments), Path(args.concepts)], [fixtures_path]
 
 

@@ -14,6 +14,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import files
 from .textnorm import tokenize
 
 INDEX_FORMAT = "conceptgraph.retrieval-index"
@@ -142,23 +143,15 @@ class RetrievalIndex:
                 for d in self.documents
             ],
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, ensure_ascii=False, sort_keys=True, indent=2)
-            fh.write("\n")
+        files.write_text_atomic(
+            path, json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+        )
 
     @classmethod
     def load(cls, path: str | Path) -> "RetrievalIndex":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise IndexFormatError(f"{path}: not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict) or payload.get("format") != INDEX_FORMAT:
-            raise IndexFormatError(f"{path}: missing format marker {INDEX_FORMAT!r}")
-        if payload.get("version") != INDEX_VERSION:
-            raise IndexFormatError(
-                f"{path}: version {payload.get('version')!r} is not {INDEX_VERSION}"
-            )
+        payload = files.read_versioned_json(
+            path, INDEX_FORMAT, INDEX_VERSION, IndexFormatError
+        )
         try:
             documents = [
                 CorpusDocument(

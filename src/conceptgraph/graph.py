@@ -8,6 +8,7 @@ enumerates simple paths (no repeated node) with a depth bound.
 from __future__ import annotations
 
 import csv
+import io
 from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import files
 from .textnorm import normalize_name
 
 
@@ -235,21 +237,19 @@ class ConceptGraph:
         if target_id not in dist:
             return PathResult()
         # Walk backwards through the BFS layering; every minimum-hop
-        # path is simple, so no visited bookkeeping is needed.
+        # path is simple, so no visited bookkeeping is needed. The stack is
+        # explicit, so path length is not limited by the recursion limit.
         paths: list[tuple[str, ...]] = []
-        stack: list[str] = [target_id]
-
-        def unwind(node: str) -> None:
+        pending: list[tuple[str, ...]] = [(target_id,)]
+        while pending:
+            backwards = pending.pop()
+            node = backwards[-1]
             if node == source_id:
-                paths.append(tuple(reversed(stack)))
-                return
+                paths.append(backwards[::-1])
+                continue
             for prev in self.predecessors[node]:
                 if dist.get(prev) == dist[node] - 1:
-                    stack.append(prev)
-                    unwind(prev)
-                    stack.pop()
-
-        unwind(target_id)
+                    pending.append(backwards + (prev,))
         return PathResult(tuple(paths))
 
     def _simple_paths_from(
@@ -257,23 +257,18 @@ class ConceptGraph:
     ) -> list[tuple[str, ...]]:
         if max_hops < 1:
             raise GraphError(f"hop bound must be at least 1, got {max_hops}")
+        # an explicit stack, so the hop bound alone limits path length
         found: list[tuple[str, ...]] = []
-        stack: list[str] = [start]
-        on_stack: set[str] = {start}
-
-        def walk(node: str, depth: int) -> None:
-            for nxt in neighbors[node]:
-                if nxt in on_stack:
+        pending: list[tuple[str, ...]] = [(start,)]
+        while pending:
+            path = pending.pop()
+            for nxt in neighbors[path[-1]]:
+                if nxt in path:
                     continue
-                stack.append(nxt)
-                on_stack.add(nxt)
-                found.append(tuple(stack))
-                if depth + 1 < max_hops:
-                    walk(nxt, depth + 1)
-                on_stack.discard(nxt)
-                stack.pop()
-
-        walk(start, 0)
+                extended = path + (nxt,)
+                found.append(extended)
+                if len(extended) <= max_hops:
+                    pending.append(extended)
         return found
 
     def neighborhood_paths(
@@ -355,11 +350,14 @@ def load_concepts(path: str | Path) -> list[Concept]:
     return out
 
 
+def _write_tsv(path: str | Path, records: Iterable[Sequence[str]]) -> None:
+    buffer = io.StringIO()
+    csv.writer(buffer, delimiter="\t", lineterminator="\n").writerows(records)
+    files.write_text_atomic(path, buffer.getvalue())
+
+
 def save_concepts(concepts: Iterable[Concept], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
-        for concept in concepts:
-            writer.writerow([concept.id, concept.name])
+    _write_tsv(path, ([concept.id, concept.name] for concept in concepts))
 
 
 def load_edge_rows(path: str | Path) -> list[EdgeRow]:
@@ -390,21 +388,17 @@ def load_edge_rows(path: str | Path) -> list[EdgeRow]:
 
 
 def save_edge_rows(rows: Iterable[EdgeRow], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
-        for row in rows:
-            record = [row.source, row.target]
-            if row.label is not None:
-                record.append(str(row.label))
-            writer.writerow(record)
+    _write_tsv(
+        path,
+        (
+            [row.source, row.target] + ([] if row.label is None else [str(row.label)])
+            for row in rows
+        ),
+    )
 
 
 def build_graph(concepts: Sequence[Concept], rows: Iterable[EdgeRow]) -> ConceptGraph:
     """Assemble a graph from TSV rows; label-0 rows are negatives and are
     not added as edges."""
-    graph = ConceptGraph(tuple(concepts))
-    for row in rows:
-        if row.label == 0:
-            continue
-        graph = graph.add_edge(row.source, row.target)
-    return graph
+    edges = frozenset((row.source, row.target) for row in rows if row.label != 0)
+    return ConceptGraph(tuple(concepts), edges)

@@ -22,6 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import files
 from .textnorm import normalize_name
 
 GCN_FORMAT = "conceptgraph.gcn-checkpoint"
@@ -108,23 +109,17 @@ class EmbeddingStore:
         return np.stack([self.vector(name) for name in order])
 
     def save_jsonl(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for name in self.names:
-                row = {"concept": name, "vector": self._vectors[name].tolist()}
-                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+        rows = ({"concept": n, "vector": self._vectors[n].tolist()} for n in self.names)
+        files.write_jsonl(path, rows)
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "EmbeddingStore":
         vectors: dict[str, list[float]] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    row = json.loads(line)
-                    vectors[str(row["concept"])] = [float(v) for v in row["vector"]]
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    raise LinkPredError(f"{path}:{lineno}: bad row: {exc}") from exc
+        for lineno, row in files.read_jsonl(path, LinkPredError):
+            try:
+                vectors[str(row["concept"])] = [float(v) for v in row["vector"]]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise LinkPredError(f"{path}: line {lineno}: bad row: {exc}") from exc
         return cls(vectors)
 
 
@@ -220,13 +215,13 @@ class GcnModel:
             "w_layers": [w.tolist() for w in self.w_layers],
             "r": self.r.tolist(),
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
+        files.write_text_atomic(path, json.dumps(payload, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "GcnModel":
-        payload = _read_checkpoint(path, GCN_FORMAT)
+        payload = files.read_versioned_json(
+            path, GCN_FORMAT, CHECKPOINT_VERSION, CheckpointFormatError
+        )
         try:
             return cls(
                 w_proj=np.asarray(payload["w_proj"], dtype=np.float64),
@@ -237,21 +232,6 @@ class GcnModel:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointFormatError(f"{path}: bad weight arrays: {exc}") from exc
-
-
-def _read_checkpoint(path: str | Path, expected_format: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CheckpointFormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != expected_format:
-        raise CheckpointFormatError(f"{path}: missing format marker {expected_format!r}")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointFormatError(
-            f"{path}: version {payload.get('version')!r} is not {CHECKPOINT_VERSION}"
-        )
-    return payload
 
 
 @dataclass
@@ -508,13 +488,13 @@ class ConcatModel:
             "weights": self.weights.tolist(),
             "bias": self.bias,
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
+        files.write_text_atomic(path, json.dumps(payload, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "ConcatModel":
-        payload = _read_checkpoint(path, CONCAT_FORMAT)
+        payload = files.read_versioned_json(
+            path, CONCAT_FORMAT, CHECKPOINT_VERSION, CheckpointFormatError
+        )
         try:
             return cls(
                 weights=np.asarray(payload["weights"], dtype=np.float64),

@@ -13,7 +13,6 @@ traces, or error messages.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
 import time
@@ -23,7 +22,11 @@ from typing import Mapping, Sequence
 
 import requests
 
+from . import files
 from .graph import ConceptGraph
+from .pipeline import EMPTY_SECTION, NEIGHBORHOOD_MARKER, PATH_MARKER, QUESTION_MARKER
+from .pipeline import YES_NO_RULE, parse_concept_list
+from .recovery import DOC_HEADER, RAG_HEADER
 from .textnorm import VocabularyMatcher, normalize_name, ordered_unique
 
 API_KEY_ENV = "LLM_API_KEY"
@@ -142,8 +145,6 @@ _COT_OPENING = re.compile(
     r"\AIn the context of (?P<domain>.*?), we have two concepts: "
     r"A: (?P<a>.*?) and B: (?P<b>.*?)\. Assess if understanding "
 )
-_DOC_HEADER = "And here are related contents to help:"
-_RAG_HEADER = "Related contents:"
 
 
 def parse_pair_prompt(prompt: str) -> tuple[str, str, str]:
@@ -161,12 +162,12 @@ def parse_pair_prompt(prompt: str) -> tuple[str, str, str]:
     a, b = zs.group("a"), zs.group("b")
     lines = prompt.split("\n")
     for i, line in enumerate(lines):
-        if line == _RAG_HEADER:
+        if line == RAG_HEADER:
             return a, b, "zs-rag"
-        if line == _DOC_HEADER:
+        if line == DOC_HEADER:
             nxt = lines[i + 1] if i + 1 < len(lines) else ""
             return (a, b, "zs-con") if nxt.startswith("We know that ") else (a, b, "zs-wiki")
-        if line.startswith(_DOC_HEADER + " "):
+        if line.startswith(DOC_HEADER + " "):
             return a, b, "zs-doc"
     return a, b, "zs"
 
@@ -247,16 +248,7 @@ class ScriptedOracle:
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "ScriptedOracle":
-        rows = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rows.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise LlmError(f"{path}:{lineno}: not JSON: {exc}") from exc
-        return cls(rows)
+        return cls([row for _, row in files.read_jsonl(path, LlmError)])
 
     def __call__(self, prompt: str) -> str:
         a, b, variant = parse_pair_prompt(prompt)
@@ -280,9 +272,6 @@ class EchoOracle:
 # -- pipeline mocks ---------------------------------------------------------------
 
 _TASK_LINE_RE = re.compile(r"^Task (?P<n>[1-5]) question:$", re.MULTILINE)
-_QUESTION_MARKER = "***Question**:"
-_PATH_MARKER = "***Path**:"
-_NEIGHBORHOOD_MARKER = "***Neighborhood**:"
 
 
 def _escape_name(name: str) -> str:
@@ -352,24 +341,19 @@ class GroundedAnswerOracle:
     """
 
     def __call__(self, prompt: str) -> str:
-        if _QUESTION_MARKER not in prompt:
+        if QUESTION_MARKER not in prompt:
             raise UnrecognizedPrompt(f"not a grounding prompt: {prompt[:80]!r}")
-        path_section = _section_after(prompt, _PATH_MARKER)
+        path_section = _section_after(prompt, PATH_MARKER)
         if path_section is not None:
-            if 'Only return "Yes" or "No".' in prompt:
-                return "No" if path_section == "EMPTY" else "Yes"
-            if path_section == "EMPTY":
+            if YES_NO_RULE in prompt:
+                return "No" if path_section == EMPTY_SECTION else "Yes"
+            if path_section == EMPTY_SECTION:
                 return ""
-            names: list[str] = []
-            for line in path_section.split("\n"):
-                names.extend(part.strip() for part in line.split(";") if part.strip())
-            return "; ".join(ordered_unique(names))
-        neighborhood = _section_after(prompt, _NEIGHBORHOOD_MARKER)
+            return "; ".join(parse_concept_list(path_section.replace("\n", ";")))
+        neighborhood = _section_after(prompt, NEIGHBORHOOD_MARKER)
         if neighborhood is not None:
-            if neighborhood == "EMPTY":
+            if neighborhood == EMPTY_SECTION:
                 return "No related concepts were found to review."
-            names = [part.strip() for part in neighborhood.split(";") if part.strip()]
-            return "To improve, review these related concepts: " + "; ".join(
-                ordered_unique(names)
-            ) + "."
+            names = "; ".join(parse_concept_list(neighborhood))
+            return f"To improve, review these related concepts: {names}."
         raise UnrecognizedPrompt("grounding prompt has no path section")

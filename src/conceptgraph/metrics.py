@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import statistics
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -266,6 +267,39 @@ def similarity_f1(
         if precision + recall
         else 0.0
     )
+    return precision, recall, s_f1
+
+
+def mean_similarity_f1(
+    predicted_lists: Sequence[Sequence[str]],
+    gold_lists: Sequence[Sequence[str]],
+    matcher: SimilarityMatcher,
+    *,
+    one_to_one: bool = False,
+) -> tuple[float, float, float]:
+    """Mean precision, recall, and F1 of similarity_f1 over aligned lists.
+
+    An empty prediction scores 0 on all three; an empty gold list is an
+    error, because there is nothing to score against.
+    """
+    if len(predicted_lists) != len(gold_lists):
+        raise LengthMismatch(
+            f"got {len(predicted_lists)} predicted lists "
+            f"for {len(gold_lists)} gold lists"
+        )
+    if not predicted_lists:
+        raise EmptyList("no lists to score")
+    triples = []
+    for number, (predicted, gold) in enumerate(
+        zip(predicted_lists, gold_lists), start=1
+    ):
+        if not gold:
+            raise EmptyList(f"gold list {number} is empty")
+        if not predicted:
+            triples.append((0.0, 0.0, 0.0))
+            continue
+        triples.append(similarity_f1(predicted, gold, matcher, one_to_one=one_to_one))
+    precision, recall, s_f1 = (statistics.fmean(column) for column in zip(*triples))
     return precision, recall, s_f1
 
 

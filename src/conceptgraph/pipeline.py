@@ -12,12 +12,12 @@ writing grounded on concept neighborhoods (free text, no query stage).
 """
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+from . import files
 from .graph import ConceptGraph, PathResult, UnknownConcept
 from .query import (
     GRAMMAR_REFERENCE,
@@ -51,7 +51,7 @@ _GROUNDING_OPENING = (
     "If the path is empty, then there is no relationship.",
     "Only use the returned path as the information for answering.",
 )
-_YES_NO_RULE = 'Only return "Yes" or "No".'
+YES_NO_RULE = 'Only return "Yes" or "No".'
 _PROPOSAL_OPENING = (
     "There is a concept graph that includes the relations between concepts.",
     "Based on the question, nearby concepts from the graph have been returned.",
@@ -165,7 +165,7 @@ def build_grounding_prompt(question: str, outcome: QueryOutcome) -> str:
     """The stage-two prompt, grounded on the outcome's paths."""
     lines = list(_GROUNDING_OPENING)
     if outcome.kind == "reachable":
-        lines.append(_YES_NO_RULE)
+        lines.append(YES_NO_RULE)
     lines += [
         QUESTION_MARKER,
         question,
@@ -387,43 +387,22 @@ def oracle_from_trace(item: TutorQaItem, trace: PipelineTrace) -> Oracle:
 def load_tutorqa(path: str | Path) -> list[TutorQaItem]:
     """Read items from JSON Lines with keys task/question/answer."""
     items: list[TutorQaItem] = []
-    for number, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TutorQaFormatError(f"line {number}: bad JSON: {exc}") from exc
-        if not isinstance(row, dict) or set(row) != {"task", "question", "answer"}:
+    for number, row in files.read_jsonl(path, TutorQaFormatError):
+        if set(row) != {"task", "question", "answer"}:
             raise TutorQaFormatError(
-                f"line {number}: expected task/question/answer keys"
+                f"{path}: line {number}: expected task/question/answer keys"
             )
-        answer = row["answer"]
-        if isinstance(answer, list):
-            answer = tuple(answer)
         try:
-            items.append(
-                TutorQaItem(task=row["task"], question=row["question"], answer=answer)
-            )
+            items.append(TutorQaItem(**row))
         except PipelineError as exc:
-            raise TutorQaFormatError(f"line {number}: {exc}") from exc
+            raise TutorQaFormatError(f"{path}: line {number}: {exc}") from exc
     return items
 
 
 def save_tutorqa(items: list[TutorQaItem], path: str | Path) -> None:
-    lines = []
-    for item in items:
-        answer = list(item.answer) if isinstance(item.answer, tuple) else item.answer
-        lines.append(
-            json.dumps(
-                {"task": item.task, "question": item.question, "answer": answer},
-                ensure_ascii=False,
-                sort_keys=True,
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n" if lines else "", encoding="utf-8")
+    # json writes the tuple answers of tasks 2 to 4 as arrays
+    rows = ({"task": i.task, "question": i.question, "answer": i.answer} for i in items)
+    files.write_jsonl(path, rows)
 
 
 def _outcome_to_dict(outcome: QueryOutcome) -> dict[str, object]:
@@ -490,23 +469,8 @@ def trace_from_dict(row: dict[str, object]) -> PipelineTrace:
 
 
 def save_traces(traces: list[PipelineTrace], path: str | Path) -> None:
-    lines = [
-        json.dumps(trace_to_dict(trace), ensure_ascii=False, sort_keys=True)
-        for trace in traces
-    ]
-    Path(path).write_text("\n".join(lines) + "\n" if lines else "", encoding="utf-8")
+    files.write_jsonl(path, map(trace_to_dict, traces))
 
 
 def load_traces(path: str | Path) -> list[PipelineTrace]:
-    traces: list[PipelineTrace] = []
-    for number, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TutorQaFormatError(f"line {number}: bad JSON: {exc}") from exc
-        traces.append(trace_from_dict(row))
-    return traces
+    return [trace_from_dict(row) for _, row in files.read_jsonl(path, TutorQaFormatError)]

@@ -12,7 +12,6 @@ passages to the zero-shot template.
 """
 from __future__ import annotations
 
-import json
 import random
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -21,6 +20,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+from . import files
 from .corpus import CorpusDocument, RetrievalIndex
 from .graph import Concept, ConceptGraph, EdgeRow
 from .textnorm import mentions_concept, normalize_name
@@ -207,8 +207,8 @@ In the context of {domain}, we have two concepts: A: {a} and B: {b}. Assess if u
 
 RETRY_SUFFIX = "\nAnswer YES or NO only."
 
-_DOC_HEADER = "And here are related contents to help:"
-_RAG_HEADER = "Related contents:"
+DOC_HEADER = "And here are related contents to help:"
+RAG_HEADER = "Related contents:"
 
 
 def _con_neighbor_names(graph: ConceptGraph, name: str, direction: str) -> str:
@@ -246,13 +246,13 @@ def build_additional_info(
         ]
         if not related:
             return ""
-        return f"{_DOC_HEADER} " + "\n".join(related)
+        return f"{DOC_HEADER} " + "\n".join(related)
     if kind is VariantKind.ZERO_SHOT_CON:
         graph = context.training_graph
         if graph is None:
             raise MissingContext("Con variant needs context.training_graph")
         lines = [
-            _DOC_HEADER,
+            DOC_HEADER,
             f"We know that {a.name} is a prerequisite of the following "
             f"concepts:{_con_neighbor_names(graph, a.name, 'out')};",
             f"The following concepts are the prerequisites of {a.name} : "
@@ -273,7 +273,7 @@ def build_additional_info(
             if key not in pages:
                 raise MissingContext(f"no wiki page for concept {concept.name!r}")
             paragraphs.append(pages[key])
-        return "\n".join([_DOC_HEADER, *paragraphs])
+        return "\n".join([DOC_HEADER, *paragraphs])
     if kind is VariantKind.ZERO_SHOT_RAG:
         index = context.retrieval_index
         if index is None:
@@ -285,7 +285,7 @@ def build_additional_info(
         passages = [
             doc.text[:limit] if limit is not None else doc.text for doc, _ in hits
         ]
-        return "\n".join([_RAG_HEADER, *passages])
+        return "\n".join([RAG_HEADER, *passages])
     raise RecoveryError(f"unhandled variant kind {kind!r}")
 
 
@@ -448,59 +448,50 @@ def recover_graph(
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
         judgments = tuple(pool.map(worker, range(len(pairs))))
 
-    graph = ConceptGraph(tuple(concepts))
-    for judgment in judgments:
-        if judgment.verdict is Verdict.YES:
-            graph = graph.add_edge(judgment.source, judgment.target)
-    return RecoveryResult(graph=graph, judgments=judgments)
+    edges = frozenset((j.source, j.target) for j in judgments if j.verdict is Verdict.YES)
+    return RecoveryResult(graph=ConceptGraph(tuple(concepts), edges), judgments=judgments)
 
 
 # -- judgment serialization ------------------------------------------------------
 
 
+def _judgment_row(j: EdgeJudgment) -> dict[str, object]:
+    row: dict[str, object] = {
+        "a": j.source,
+        "b": j.target,
+        "variant": j.variant,
+        "verdict": j.verdict.value,
+        "raw": j.raw_response,
+    }
+    if j.flagged:
+        row["flagged"] = True
+    return row
+
+
 def save_judgments(judgments: Sequence[EdgeJudgment], path: str | Path) -> None:
     """One JSON object per line: a, b, variant, verdict, raw
     (plus flagged: true for defaulted judgments)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for j in judgments:
-            row: dict[str, object] = {
-                "a": j.source,
-                "b": j.target,
-                "variant": j.variant,
-                "verdict": j.verdict.value,
-                "raw": j.raw_response,
-            }
-            if j.flagged:
-                row["flagged"] = True
-            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+    files.write_jsonl(path, map(_judgment_row, judgments))
 
 
 def load_judgments(path: str | Path) -> list[EdgeJudgment]:
     out: list[EdgeJudgment] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise JudgmentFormatError(f"{path}:{lineno}: not JSON: {exc}") from exc
-            try:
-                verdict = Verdict(row["verdict"])
-                out.append(
-                    EdgeJudgment(
-                        source=str(row["a"]),
-                        target=str(row["b"]),
-                        verdict=verdict,
-                        variant=str(row["variant"]),
-                        raw_response=str(row["raw"]),
-                        flagged=bool(row.get("flagged", False)),
-                    )
+    for lineno, row in files.read_jsonl(path, JudgmentFormatError):
+        try:
+            out.append(
+                EdgeJudgment(
+                    source=str(row["a"]),
+                    target=str(row["b"]),
+                    verdict=Verdict(row["verdict"]),
+                    variant=str(row["variant"]),
+                    raw_response=str(row["raw"]),
+                    flagged=bool(row.get("flagged", False)),
                 )
-            except (KeyError, ValueError) as exc:
-                raise JudgmentFormatError(
-                    f"{path}:{lineno}: bad judgment row: {exc}"
-                ) from exc
+            )
+        except (KeyError, ValueError) as exc:
+            raise JudgmentFormatError(
+                f"{path}: line {lineno}: bad judgment row: {exc}"
+            ) from exc
     return out
 
 

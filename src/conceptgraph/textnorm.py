@@ -64,18 +64,6 @@ class VocabularyMatcher:
                 i += matched[1]
         return hits
 
-    def contains(self, text: str, name: str) -> bool:
-        """True when the name's tokens appear as a contiguous run in text."""
-        needle = tuple(tokenize(name))
-        if not needle:
-            return False
-        tokens = tokenize(text)
-        span = len(needle)
-        return any(
-            tuple(tokens[i : i + span]) == needle
-            for i in range(len(tokens) - span + 1)
-        )
-
 
 def mentions_concept(text: str, name: str) -> bool:
     """True when the normalized concept name occurs in the text as a

@@ -346,6 +346,18 @@ def test_criterion_7_traversal_oracle_equivalence():
             want_prereq = sorted(p_ for p_ in everything if p_[-1] == target)
             assert got_prereq == want_prereq, (trial, target, depth)
 
+        # a chain longer than the interpreter's recursion limit
+        n = 1200
+        edges = {(i, i + 1) for i in range(n - 1)}
+        g = make_graph(n, sorted(edges))
+        from_first = oracle_simple_paths(edges, [0], n)
+        assert as_int_paths(g.shortest_path("c0", f"c{n - 1}")) == [from_first[-1]]
+        got_out = sorted(as_int_paths(g.neighborhood_paths("c0", "out", n)))
+        assert got_out == sorted(from_first)
+        into_last = oracle_simple_paths({(b, a) for a, b in edges}, [n - 1], n)
+        got_prereq = sorted(as_int_paths(g.prerequisite_paths(f"c{n - 1}", n)))
+        assert got_prereq == sorted(p_[::-1] for p_ in into_last)
+
 
 def fuzz_input(rng: random.Random) -> str:
     kind = rng.randrange(3)

@@ -16,6 +16,7 @@ from conceptgraph import cli
 from conceptgraph.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_ORACLE,
     load_manifest,
@@ -122,6 +123,16 @@ def test_live_oracle_without_endpoint_exits_1(workspace):
     argv = recover_argv(workspace, "out")
     argv[4] = "live"
     assert main(argv) == EXIT_CONFIG
+
+
+def test_unexpected_exception_exits_4_in_one_line(workspace, monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("no such\nthing")
+
+    monkeypatch.setattr(cli, "cmd_recover", broken)
+    assert main(recover_argv(workspace, "out")) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err == "error: internal error: RuntimeError: no such thing\n"
 
 
 def test_version_is_machine_readable(capsys):
@@ -444,6 +455,22 @@ def test_qa_rerun_is_byte_identical(qa_workspace):
         a = (qa_workspace / "a" / name).read_bytes()
         b = (qa_workspace / "b" / name).read_bytes()
         assert a == b, name
+
+
+def test_qa_shortest_path_longer_than_the_recursion_limit(tmp_path):
+    n = 1200
+    names = [f"node {i}" for i in range(n)]
+    write_concepts(tmp_path / "concepts.tsv", names)
+    write_edges(tmp_path / "edges.tsv", [(i, i + 1) for i in range(n - 1)])
+    item = {
+        "task": 3,
+        "question": f"What path leads from {names[0]} to {names[-1]}?",
+        "answer": [names[0], names[-1]],
+    }
+    (tmp_path / "tutorqa.jsonl").write_text(json.dumps(item) + "\n", encoding="utf-8")
+    assert main(qa_argv(tmp_path, "out")) == EXIT_OK
+    (line,) = (tmp_path / "out" / "answers.jsonl").read_text(encoding="utf-8").splitlines()
+    assert json.loads(line)["answer"] == "; ".join(names)
 
 
 def test_qa_missing_tutorqa_exits_2(qa_workspace):

@@ -23,6 +23,7 @@ from conceptgraph.metrics import (
     binary_report,
     concept_mentions,
     confusion_counts,
+    mean_similarity_f1,
     padded_cosine,
     report_json,
     report_payload,
@@ -260,6 +261,22 @@ def test_similarity_f1_rejects_empty_lists():
         similarity_f1([], ["a"], matcher)
     with pytest.raises(EmptyList):
         similarity_f1(["a"], [], matcher)
+
+
+def test_mean_similarity_f1_averages_lists_and_scores_empty_predictions_zero():
+    matcher = SimilarityMatcher(ExactMatchEmbedder())
+    precision, recall, s_f1 = mean_similarity_f1(
+        [["a"], [], ["b", "c"]], [["a", "b"], ["x"], ["b", "c"]], matcher
+    )
+    assert precision == pytest.approx((1.0 + 0.0 + 1.0) / 3)
+    assert recall == pytest.approx((0.5 + 0.0 + 1.0) / 3)
+    assert s_f1 == pytest.approx((2 / 3 + 0.0 + 1.0) / 3)
+    with pytest.raises(EmptyList, match="gold list 2"):
+        mean_similarity_f1([["a"], []], [["a"], []], matcher)
+    with pytest.raises(EmptyList):
+        mean_similarity_f1([], [], matcher)
+    with pytest.raises(LengthMismatch):
+        mean_similarity_f1([["a"]], [["a"], ["b"]], matcher)
 
 
 def test_embedder_failures_are_wrapped():

@@ -5,6 +5,7 @@ batch answers are verified against direct graph reachability.
 """
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -494,6 +495,36 @@ def test_trace_round_trip(tmp_path, graph):
     bad.write_text('{"question": "q"}\n')
     with pytest.raises(TutorQaFormatError):
         load_traces(bad)
+
+
+def test_unicode_line_breaks_survive_save_and_load(tmp_path, graph):
+    # json leaves U+2028 and U+0085 unescaped, so they must not end a row
+    breaks = "one\u2028two\u0085three"
+    items = [
+        item1("Probability", f"Viterbi Algorithm {breaks}", "Yes"),
+        TutorQaItem(3, f"Which path{breaks}?", [breaks, "Probability"]),
+    ]
+    save_tutorqa(items, tmp_path / "qa.jsonl")
+    assert load_tutorqa(tmp_path / "qa.jsonl") == items
+    command_oracle, answer_oracle = oracles(graph)
+    _, trace = run_task(items[0], graph, command_oracle, answer_oracle)
+    assert breaks in trace.grounding_prompt
+    save_traces([trace], tmp_path / "traces.jsonl")
+    assert load_traces(tmp_path / "traces.jsonl") == [trace]
+
+
+def test_failed_save_leaves_the_previous_traces_file(tmp_path, graph):
+    command_oracle, answer_oracle = oracles(graph)
+    item = item1("Probability", "Viterbi Algorithm", "Yes")
+    _, trace = run_task(item, graph, command_oracle, answer_oracle)
+    path = tmp_path / "traces.jsonl"
+    save_traces([trace], path)
+    before = path.read_bytes()
+    unencodable = dataclasses.replace(trace, final_answer=object())
+    with pytest.raises(TypeError):
+        save_traces([trace, unencodable], path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["traces.jsonl"]
 
 
 def test_parse_concept_list():

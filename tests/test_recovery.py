@@ -472,6 +472,20 @@ def test_load_judgments_rejects_malformed_rows(tmp_path):
     path.write_text('{"a": "x", "verdict": "YES"}\n')
     with pytest.raises(JudgmentFormatError):
         load_judgments(path)
+    path.write_text('["x", "y", "zs", "YES", ""]\n')
+    with pytest.raises(JudgmentFormatError, match="JSON object"):
+        load_judgments(path)
+
+
+def test_failed_save_leaves_the_previous_judgments_file(tmp_path):
+    path = tmp_path / "judgments.jsonl"
+    save_judgments(sample_judgments(), path)
+    before = path.read_bytes()
+    unencodable = EdgeJudgment("c3", "c1", Verdict.NO, "zs", raw_response=object())
+    with pytest.raises(TypeError):
+        save_judgments([sample_judgments()[0], unencodable], path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["judgments.jsonl"]
 
 
 def test_canonicalize_sorts_and_collapses_duplicates():
