@@ -235,10 +235,10 @@ def parse_config_file(path: str | Path) -> list[str]:
     """Config lines as an argv fragment, ready to splice after the subcommand."""
     fragment: list[str] = []
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        lines = files.read_lines(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -429,8 +429,7 @@ def _build_context(
     retrieval_index = None
     if args.documents is not None:
         path = Path(args.documents)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        documents = tuple(corpus.ingest(lines, source=path.name))
+        documents = tuple(corpus.ingest(files.read_lines(path), source=path.name))
         inputs.append(path)
     if (args.train_concepts is None) != (args.train_edges is None):
         raise ConfigError("--train-concepts and --train-edges go together")
@@ -554,10 +553,6 @@ def cmd_train(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
     return [Path(args.embeddings), Path(args.edges)], [checkpoint, report_path]
 
 
-def _read_lines(path: str | Path) -> list[str]:
-    return Path(path).read_text(encoding="utf-8").splitlines()
-
-
 def _make_embedder(kind: str, seed: int):
     if kind == "hash":
         return metrics.HashEmbedder(seed=seed)
@@ -565,8 +560,8 @@ def _make_embedder(kind: str, seed: int):
 
 
 def cmd_eval(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
-    predictions = _read_lines(args.predictions)
-    gold = _read_lines(args.gold)
+    predictions = files.read_lines(args.predictions)
+    gold = files.read_lines(args.gold)
     metadata: dict[str, object] = {"mode": args.mode}
     if args.dataset is not None:
         metadata["dataset"] = args.dataset
@@ -606,10 +601,9 @@ def cmd_qa(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
     concepts = graph.load_concepts(args.concepts)
     g = graph.build_graph(concepts, graph.load_edge_rows(args.edges))
     items = pipeline.load_tutorqa(args.tutorqa)
-    vocabulary = [c.name for c in g.concepts]
 
     if args.command_oracle == "template":
-        command_oracle: object = llm.TemplateCommandOracle(vocabulary)
+        command_oracle: object = llm.TemplateCommandOracle([c.name for c in g.concepts])
     elif args.command_oracle == "garbage":
         command_oracle = llm.GarbageCommandOracle()
     else:
@@ -662,7 +656,7 @@ def cmd_qa(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
             uniques = []
             totals = []
             for _, answer in pairs:
-                unique, total, _counts = metrics.concept_mentions(answer, vocabulary)
+                unique, total, _counts = metrics.concept_mentions(answer, g.matcher)
                 uniques.append(unique)
                 totals.append(total)
             payload = {

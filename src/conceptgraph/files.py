@@ -45,6 +45,17 @@ def write_jsonl(path: str | Path, rows: Iterable[Mapping[str, object]]) -> None:
             fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
 
 
+def read_lines(path: str | Path) -> list[str]:
+    """The file's lines without their line ends.
+
+    Lines split where read_jsonl splits them, at "\\n", "\\r\\n" and
+    "\\r" only, so U+2028, U+0085 and other Unicode breaks stay inside
+    a line.
+    """
+    with open(path, encoding="utf-8") as fh:
+        return [line.removesuffix("\n") for line in fh]
+
+
 def read_jsonl(
     path: str | Path, error: type[Exception]
 ) -> Iterator[tuple[int, dict[str, object]]]:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import files
-from .textnorm import normalize_name
+from .textnorm import VocabularyMatcher, normalize_name
 
 
 class GraphError(Exception):
@@ -141,6 +141,11 @@ class ConceptGraph:
     @cached_property
     def _by_name(self) -> dict[str, Concept]:
         return {normalize_name(c.name): c for c in self.concepts}
+
+    @cached_property
+    def matcher(self) -> VocabularyMatcher:
+        """Scanner for the concept names, built on first use."""
+        return VocabularyMatcher(c.name for c in self.concepts)
 
     @property
     def ids(self) -> tuple[str, ...]:

@@ -12,7 +12,7 @@ import json
 import statistics
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,6 +20,9 @@ from .recovery import EdgeJudgment, Verdict
 from .textnorm import VocabularyMatcher, normalize_name, ordered_unique
 
 DEFAULT_THRESHOLD = 0.6
+# cosines this close to the threshold are recomputed one pair at a time,
+# so rounding in a matrix product can never flip a match decision
+_TIE_BAND = 1e-9
 
 
 class MetricsError(Exception):
@@ -157,11 +160,15 @@ class SimilarityMatcher:
     """An embedding provider plus the match threshold.
 
     Two names match when their cosine similarity is strictly greater
-    than the threshold.
+    than the threshold. Each distinct text is embedded once for the
+    matcher's lifetime, so the embedder must be deterministic per text.
     """
 
     embedder: Embedder
     threshold: float = DEFAULT_THRESHOLD
+    _vectors: dict[str, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not (0.0 < self.threshold <= 1.0):
@@ -182,36 +189,80 @@ class SimilarityMatcher:
             )
         return vector
 
+    def _vector(self, text: str) -> np.ndarray:
+        """embed(text), computed on the first request for this exact text."""
+        vector = self._vectors.get(text)
+        if vector is None:
+            vector = self._vectors[text] = self.embed(text)
+        return vector
+
     def cosine(self, a: str, b: str) -> float:
-        return padded_cosine(self.embed(a), self.embed(b))
+        return padded_cosine(self._vector(a), self._vector(b))
 
     def matches(self, a: str, b: str) -> bool:
         return self.cosine(a, b) > self.threshold
 
 
-def _max_bipartite_matching(adjacency: list[list[bool]]) -> int:
-    """Size of a maximum matching, by augmenting paths."""
-    if not adjacency:
+def _max_bipartite_matching(adjacency: Sequence[Sequence[bool]]) -> int:
+    """Size of a maximum matching, by augmenting paths.
+
+    Each search walks an explicit stack, so an augmenting path may be
+    longer than the interpreter's recursion limit.
+    """
+    if not len(adjacency):
         return 0
-    n_right = len(adjacency[0])
-    match_right: list[int | None] = [None] * n_right
-
-    def try_assign(left: int, seen: list[bool]) -> bool:
-        for right in range(n_right):
-            if adjacency[left][right] and not seen[right]:
-                seen[right] = True
-                if match_right[right] is None or try_assign(
-                    match_right[right], seen
-                ):
-                    match_right[right] = left
-                    return True
-        return False
-
+    neighbors = [[right for right, hit in enumerate(row) if hit] for row in adjacency]
+    match_right: list[int | None] = [None] * len(adjacency[0])
     size = 0
-    for left in range(len(adjacency)):
-        if try_assign(left, [False] * n_right):
-            size += 1
+    for root in range(len(neighbors)):
+        seen = [False] * len(match_right)
+        # lefts[k] is the k-th row on the path; rights[k] the column it takes
+        lefts, options, rights = [root], [iter(neighbors[root])], []
+        while options:
+            right = next((r for r in options[-1] if not seen[r]), None)
+            if right is None:
+                lefts.pop()
+                options.pop()
+                if rights:
+                    rights.pop()
+                continue
+            seen[right] = True
+            rights.append(right)
+            owner = match_right[right]
+            if owner is None:
+                for left, taken in zip(lefts, rights, strict=True):
+                    match_right[taken] = left
+                size += 1
+                break
+            lefts.append(owner)
+            options.append(iter(neighbors[owner]))
     return size
+
+
+def _unit_rows(vectors: Sequence[np.ndarray], width: int) -> np.ndarray:
+    """Zero-padded vectors as unit-norm rows; a zero vector stays zero."""
+    rows = np.zeros((len(vectors), width))
+    for i, vector in enumerate(vectors):
+        rows[i, : vector.size] = vector
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    return rows / norms
+
+
+def _hit_matrix(
+    predicted: Sequence[np.ndarray], relevant: Sequence[np.ndarray], threshold: float
+) -> np.ndarray:
+    """hits[i, j] is padded_cosine(predicted[i], relevant[j]) > threshold.
+
+    All cosines come from one matrix product; the few within _TIE_BAND
+    of the threshold are decided by padded_cosine itself.
+    """
+    width = max(vector.size for vector in (*predicted, *relevant))
+    cosines = _unit_rows(predicted, width) @ _unit_rows(relevant, width).T
+    hits = cosines > threshold
+    for i, j in zip(*np.nonzero(np.abs(cosines - threshold) <= _TIE_BAND)):
+        hits[i, j] = padded_cosine(predicted[i], relevant[j]) > threshold
+    return hits
 
 
 def similarity_f1(
@@ -236,31 +287,23 @@ def similarity_f1(
     if not rel_unique:
         raise EmptyList("relevant list is empty")
 
-    vectors: dict[str, np.ndarray] = {}
-    for name in pred_unique + rel_unique:
-        key = normalize_name(name)
-        if key not in vectors:
-            vectors[key] = matcher.embed(name)
-
-    hits = [
-        [
-            padded_cosine(vectors[normalize_name(p)], vectors[normalize_name(r)])
-            > matcher.threshold
-            for r in rel_unique
-        ]
-        for p in pred_unique
+    # a name that appears in both lists is embedded as first spelled
+    spelling: dict[str, str] = {}
+    vectors = [
+        matcher._vector(spelling.setdefault(normalize_name(name), name))
+        for name in pred_unique + rel_unique
     ]
+    hits = _hit_matrix(
+        vectors[: len(pred_unique)], vectors[len(pred_unique) :], matcher.threshold
+    )
 
     if one_to_one:
         matched = _max_bipartite_matching(hits)
         precision = matched / len(pred_unique)
         recall = matched / len(rel_unique)
     else:
-        precision = sum(any(row) for row in hits) / len(pred_unique)
-        recall = sum(
-            any(hits[i][j] for i in range(len(pred_unique)))
-            for j in range(len(rel_unique))
-        ) / len(rel_unique)
+        precision = int(hits.any(axis=1).sum()) / len(pred_unique)
+        recall = int(hits.any(axis=0).sum()) / len(rel_unique)
 
     s_f1 = (
         2 * precision * recall / (precision + recall)
@@ -359,19 +402,19 @@ def confusion_counts(judgments: Iterable[EdgeJudgment]) -> tuple[int, int]:
 
 
 def concept_mentions(
-    text: str, vocabulary: Sequence[str]
+    text: str, vocabulary: Sequence[str] | VocabularyMatcher
 ) -> tuple[int, int, dict[str, int]]:
     """Count vocabulary names occurring in text.
 
     Matching is case-insensitive over token runs, non-overlapping,
     longest-match-wins. Returns distinct-concept count, total
     occurrence count, and per-concept occurrence counts (only concepts
-    that occur at least once appear in the dict).
+    that occur at least once appear in the dict). A VocabularyMatcher,
+    such as ConceptGraph.matcher, is used as is.
     """
     if not vocabulary:
         raise EmptyList("vocabulary is empty")
-    matcher = VocabularyMatcher(vocabulary)
-    counts = Counter(matcher.scan(text))
+    counts = Counter(VocabularyMatcher.of(vocabulary).scan(text))
     return len(counts), sum(counts.values()), dict(counts)
 
 

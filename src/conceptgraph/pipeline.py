@@ -15,7 +15,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import files
 from .graph import ConceptGraph, PathResult, UnknownConcept
@@ -147,11 +147,17 @@ def generate_command(question: str, task: int, oracle: Oracle) -> str:
     return oracle(build_command_prompt(question, task))
 
 
-def extract_concepts(question: str, vocabulary: list[str]) -> list[str]:
-    """Vocabulary names mentioned in the question, in order, deduplicated."""
+def extract_concepts(
+    question: str, vocabulary: Sequence[str] | VocabularyMatcher
+) -> list[str]:
+    """Vocabulary names mentioned in the question, in order, deduplicated.
+
+    A VocabularyMatcher, such as ConceptGraph.matcher, is used as is, so
+    one scanner serves every question over the same graph.
+    """
     if not vocabulary:
         raise PipelineError("vocabulary is empty")
-    return ordered_unique(VocabularyMatcher(vocabulary).scan(question))
+    return ordered_unique(VocabularyMatcher.of(vocabulary).scan(question))
 
 
 def render_path_section(named_paths: tuple[tuple[str, ...], ...]) -> str:
@@ -218,7 +224,7 @@ def _fallback_queries(item: TutorQaItem, names: list[str], hops: int) -> list[Gr
 def _run_fallback(
     item: TutorQaItem, graph: ConceptGraph, hops: int
 ) -> tuple[GraphQuery, QueryOutcome]:
-    names = extract_concepts(item.question, [c.name for c in graph.concepts])
+    names = extract_concepts(item.question, graph.matcher)
     queries = _fallback_queries(item, names, hops)
     try:
         outcomes = [execute(query, graph) for query in queries]
@@ -300,7 +306,7 @@ def run_task_5(
     """
     if item.task != 5:
         raise PipelineError(f"run_task_5 got a task {item.task} item")
-    mentioned = extract_concepts(item.question, [c.name for c in graph.concepts])
+    mentioned = extract_concepts(item.question, graph.matcher)
     neighborhood: list[str] = list(mentioned)
     for name in mentioned:
         concept = graph.resolve(name)

@@ -40,6 +40,11 @@ class VocabularyMatcher:
                 self._by_tokens[toks] = name
         self._max_len = max((len(t) for t in self._by_tokens), default=0)
 
+    @classmethod
+    def of(cls, vocabulary: Iterable[str] | VocabularyMatcher) -> VocabularyMatcher:
+        """The matcher itself, or a new one over a list of names."""
+        return vocabulary if isinstance(vocabulary, cls) else cls(vocabulary)
+
     def __len__(self) -> int:
         return len(self._by_tokens)
 

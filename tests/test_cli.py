@@ -357,6 +357,35 @@ def test_eval_list_mode_scores_partial_overlap(tmp_path):
     assert report["dataset"] == "toy"
 
 
+def test_eval_list_line_holding_u0085_is_one_list(tmp_path, capsys):
+    (tmp_path / "pred.txt").write_text("Probability\u0085Syntax Trees\n", encoding="utf-8")
+    (tmp_path / "gold.txt").write_text("Probability\n", encoding="utf-8")
+    argv = [
+        "eval",
+        "--predictions",
+        str(tmp_path / "pred.txt"),
+        "--gold",
+        str(tmp_path / "gold.txt"),
+        "--mode",
+        "list",
+        "--output-dir",
+        str(tmp_path / "out"),
+    ]
+    assert main(argv) == EXIT_OK, capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "eval-report.json").read_text())
+    assert report["lines"] == 1
+
+
+def test_documents_line_holding_u2028_is_one_document(workspace):
+    half = " ".join(f"word{i}" for i in range(30))
+    corpus_path = workspace / "corpus.txt"
+    corpus_path.write_text(f"{half}\u2028{half}\n{half}\r\n", encoding="utf-8")
+    args = cli._parse_argv(recover_argv(workspace, "out", "--documents", str(corpus_path)))
+    context, inputs = cli._build_context(args)
+    assert inputs == [corpus_path]
+    assert [doc.text for doc in context.documents] == [f"{half}\u2028{half}", half]
+
+
 # -- qa ----------------------------------------------------------------------------
 
 
@@ -638,3 +667,9 @@ def test_config_fragment_parsing(tmp_path):
         "# comment\n\nvariant = cot\nflip-p = 0.1\n", encoding="utf-8"
     )
     assert parse_config_file(config) == ["--variant", "cot", "--flip-p", "0.1"]
+
+
+def test_config_line_holding_u2028_is_one_line(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("domain = speech\u2028language\r\nseed = 3\n", encoding="utf-8")
+    assert parse_config_file(config) == ["--domain", "speech\u2028language", "--seed", "3"]

@@ -6,8 +6,11 @@ loop (hash embeddings).
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
+import warnings
+from collections import Counter
 
 import pytest
 
@@ -20,6 +23,7 @@ from conceptgraph.metrics import (
     LengthMismatch,
     MetricsError,
     SimilarityMatcher,
+    _max_bipartite_matching,
     binary_report,
     concept_mentions,
     confusion_counts,
@@ -301,6 +305,204 @@ def test_matcher_threshold_validation_and_strictness():
     matcher = SimilarityMatcher(lambda t: vectors[t], threshold=0.6)
     assert matcher.cosine("x", "y") == pytest.approx(0.6)
     assert not matcher.matches("x", "y")
+
+
+# -- the matrix scorer against loop references ------------------------------
+
+
+def oracle_cosine_hits(pred, rel, embed, mu):
+    """Hit matrix over deduplicated lists, from the oracle's cosine loop."""
+    pred, rel = ordered_names(pred), ordered_names(rel)
+    return [[pure_cosine(embed(p), embed(r)) > mu for r in rel] for p in pred]
+
+
+def pure_cosine(u, v):
+    size = max(len(u), len(v))
+    u = list(u) + [0.0] * (size - len(u))
+    v = list(v) + [0.0] * (size - len(v))
+    dot = math.fsum(a * b for a, b in zip(u, v, strict=True))
+    nu = math.sqrt(math.fsum(a * a for a in u))
+    nv = math.sqrt(math.fsum(b * b for b in v))
+    return dot / (nu * nv) if nu and nv else 0.0
+
+
+def ordered_names(names):
+    seen, out = set(), []
+    for n in names:
+        if normalize_name(n) not in seen:
+            seen.add(normalize_name(n))
+            out.append(n)
+    return out
+
+
+def brute_force_matching(hits) -> int:
+    """Largest number of hits on distinct rows and columns, by trying every
+    assignment of the shorter side to the longer one."""
+    rows, cols = len(hits), len(hits[0])
+    if rows <= cols:
+        return max(
+            sum(hits[i][j] for i, j in enumerate(perm))
+            for perm in itertools.permutations(range(cols), rows)
+        )
+    return max(
+        sum(hits[i][j] for j, i in enumerate(perm))
+        for perm in itertools.permutations(range(rows), cols)
+    )
+
+
+def spelled_lists(rng: random.Random, pool: list[str]) -> tuple[list[str], list[str]]:
+    """Random lists whose names repeat in other spellings."""
+
+    def spell(name: str) -> str:
+        return rng.choice([name, name.upper(), f"  {name.title()} "])
+
+    pred = [spell(rng.choice(pool)) for _ in range(rng.randint(1, 9))]
+    rel = [spell(rng.choice(pool)) for _ in range(rng.randint(1, 9))]
+    return pred, rel
+
+
+@pytest.mark.parametrize("dim", [3, 4, 16])
+def test_matrix_scorer_matches_the_cosine_loop_with_hash_embeddings(dim):
+    rng = random.Random(900 + dim)
+    pool = [f"concept {i}" for i in range(20)]
+    embed = HashEmbedder(seed=dim, dim=dim)
+    for mu in (0.2, 0.6, 0.9):
+        matcher = SimilarityMatcher(embed, threshold=mu)
+        for _ in range(40):
+            pred, rel = spelled_lists(rng, pool)
+            assert similarity_f1(pred, rel, matcher) == oracle_many_to_one(
+                pred, rel, embed, mu
+            )
+
+
+def test_matrix_scorer_matches_the_cosine_loop_as_exact_embeddings_grow():
+    rng = random.Random(911)
+    embed = ExactMatchEmbedder()
+    matcher = SimilarityMatcher(embed)
+    for round_number in range(6):
+        # every round brings new names, so later vectors are longer than
+        # the cached ones they are compared with
+        pool = [f"topic {i}" for i in range(8 * (round_number + 1))]
+        for _ in range(20):
+            pred, rel = spelled_lists(rng, pool)
+            got = similarity_f1(pred, rel, matcher)
+            assert got == oracle_many_to_one(pred, rel, embed, matcher.threshold)
+            assert got == pytest.approx(oracle_set_overlap(pred, rel))
+    assert len(embed("a name never seen")) > 40
+
+
+def test_cosine_equal_to_the_threshold_does_not_match_inside_a_list():
+    vectors = {
+        "x": [1.0, 0.0],
+        "y": [0.6, 0.8],
+        "z": [0.0, 1.0],
+        "w": [-1.0, 0.0],
+    }
+    matcher = SimilarityMatcher(lambda t: vectors[t], threshold=0.6)
+    # x.y is exactly 0.6 and must miss; z.y is 0.8 and matches
+    assert similarity_f1(["x", "z"], ["y", "w"], matcher) == (0.5, 0.5, 0.5)
+    assert similarity_f1(["x", "w"], ["y", "w"], matcher) == (0.5, 0.5, 0.5)
+    assert similarity_f1(["x"], ["y", "z", "w"], matcher) == (0.0, 0.0, 0.0)
+
+
+def test_thresholds_at_a_pair_cosine_decide_as_padded_cosine_does():
+    # with the threshold set to a pair's own cosine, a matrix product can
+    # round either way; the decision must still be exactly padded_cosine's
+    rng = random.Random(4242)
+    tested = 0
+    while tested < 150:
+        dim = rng.randint(2, 6)
+        u = [rng.uniform(-1.0, 1.0) for _ in range(dim)]
+        v = [rng.uniform(-1.0, 1.0) for _ in range(dim + rng.randint(0, 2))]
+        cosine = padded_cosine(u, v)
+        if not 0.0 < cosine < 1.0:
+            continue
+        tested += 1
+        vectors = {"u": u, "v": v, "far": [-x for x in u]}
+        for threshold, hit in ((cosine, 0.0), (math.nextafter(cosine, 0.0), 1.0)):
+            matcher = SimilarityMatcher(lambda t: vectors[t], threshold=threshold)
+            got = similarity_f1(["far", "u"], ["v"], matcher)
+            assert got == (hit / 2, hit, pytest.approx(2 / 3 * hit))
+
+
+def test_zero_vector_scores_cosine_zero_without_warnings():
+    vectors = {"zero": [0.0, 0.0, 0.0], "a": [1.0, 0.0, 0.0], "b": [0.0, 1.0]}
+    for mu in (0.6, 1e-12):
+        matcher = SimilarityMatcher(lambda t: vectors[t], threshold=mu)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert similarity_f1(["zero", "a"], ["a", "b"], matcher) == (
+                0.5,
+                0.5,
+                0.5,
+            )
+            assert similarity_f1(["zero"], ["zero"], matcher) == (0.0, 0.0, 0.0)
+            assert similarity_f1(
+                ["zero", "a"], ["a", "zero"], matcher, one_to_one=True
+            ) == (0.5, 0.5, 0.5)
+            assert matcher.cosine("zero", "a") == 0.0
+
+
+def test_one_to_one_matches_brute_force_assignment():
+    rng = random.Random(1234)
+    pool = [f"idea {i}" for i in range(10)]
+    embed = HashEmbedder(seed=8, dim=3)
+    for mu in (0.1, 0.5):
+        matcher = SimilarityMatcher(embed, threshold=mu)
+        for _ in range(60):
+            pred = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
+            rel = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
+            hits = oracle_cosine_hits(pred, rel, embed, mu)
+            best = brute_force_matching(hits)
+            precision, recall, _ = similarity_f1(pred, rel, matcher, one_to_one=True)
+            assert precision == best / len(hits)
+            assert recall == best / len(hits[0])
+
+
+def test_bipartite_matching_follows_an_augmenting_path_past_the_recursion_limit():
+    # row j holds columns j and j + 1, the last row only column 0: the last
+    # row's only augmenting path shifts every earlier row by one column
+    size = 1200
+    adjacency = [[False] * size for _ in range(size)]
+    for j in range(size - 1):
+        adjacency[j][j] = adjacency[j][j + 1] = True
+    adjacency[size - 1][0] = True
+    assert _max_bipartite_matching(adjacency) == size
+
+
+def test_embedder_sees_the_first_spelling_of_a_name_in_either_list():
+    seen = []
+    embed = HashEmbedder(dim=4)
+
+    def recording(text):
+        seen.append(text)
+        return embed(text)
+
+    matcher = SimilarityMatcher(recording)
+    similarity_f1(["Graph", "tree"], ["GRAPH", "Tree ", "node"], matcher)
+    assert seen == ["Graph", "tree", "node"]
+    similarity_f1(["graph"], ["Graph", "node"], matcher)
+    assert seen == ["Graph", "tree", "node", "graph"]
+
+
+def test_mean_similarity_f1_embeds_each_distinct_text_once():
+    calls = Counter()
+    embed = HashEmbedder(seed=2, dim=8)
+
+    def counting(text):
+        calls[text] += 1
+        return embed(text)
+
+    rng = random.Random(55)
+    pool = [f"Concept {i}" for i in range(30)]
+    predicted = [rng.sample(pool, rng.randint(1, 8)) for _ in range(200)]
+    gold = [rng.sample(pool, rng.randint(1, 8)) for _ in range(200)]
+    matcher = SimilarityMatcher(counting)
+    mean_similarity_f1(predicted, gold, matcher)
+    mean_similarity_f1(predicted, gold, matcher, one_to_one=True)
+    assert matcher.matches("Concept 0", "Concept 0")
+    assert set(calls) == set(pool)
+    assert set(calls.values()) == {1}
 
 
 # -- embedders ---------------------------------------------------------------

@@ -43,6 +43,7 @@ from conceptgraph.pipeline import (
 )
 from conceptgraph.query import Neighbors, Reachable, execute, parse_query, render_query
 from conceptgraph.recovery import RETRY_SUFFIX, UnparseableVerdict
+from conceptgraph.textnorm import VocabularyMatcher
 
 NAMES = [
     "Probability",
@@ -357,6 +358,27 @@ def test_run_items_concurrency_is_invisible(graph):
     assert serial == threaded
     with pytest.raises(PipelineError):
         run_items(items, graph, command_oracle, answer_oracle, concurrency=0)
+
+
+def test_fallback_and_task5_questions_share_one_vocabulary_matcher(graph, monkeypatch):
+    builds = []
+    original = VocabularyMatcher.__init__
+
+    def counting_init(self, vocabulary):
+        builds.append(1)
+        original(self, vocabulary)
+
+    monkeypatch.setattr(VocabularyMatcher, "__init__", counting_init)
+    items = [item1(a, b, "Yes") for a, b in zip(NAMES, reversed(NAMES)) if a != b]
+    items.append(TutorQaItem(5, "A project on the Viterbi Algorithm", "open"))
+    items.append(TutorQaItem(5, "A project on Syntax Trees", "open"))
+    assert "matcher" not in vars(graph)
+    run_items(items, graph, GarbageCommandOracle(), GroundedAnswerOracle())
+    assert len(builds) == 1
+    text = "Syntax Trees and Probability"
+    assert extract_concepts(text, graph.matcher) == ["Syntax Trees", "Probability"]
+    assert concept_mentions(text, graph.matcher) == concept_mentions(text, NAMES)
+    assert len(builds) == 2  # the name list built a matcher of its own
 
 
 # -- task 5 -------------------------------------------------------------------------
