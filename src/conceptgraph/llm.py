@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import os
 import re
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -203,9 +204,11 @@ class GraphBackedOracle:
         self.flip_probability = flip_probability
         self.seed = seed
         self.calls = 0
+        self._calls_lock = threading.Lock()
 
     def __call__(self, prompt: str) -> str:
-        self.calls += 1
+        with self._calls_lock:
+            self.calls += 1
         a_name, b_name, variant = parse_pair_prompt(prompt)
         a = self.graph.resolve(a_name)
         b = self.graph.resolve(b_name)

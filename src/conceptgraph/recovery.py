@@ -17,13 +17,14 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from . import files
 from .corpus import CorpusDocument, RetrievalIndex
-from .graph import Concept, ConceptGraph, EdgeRow
-from .textnorm import mentions_concept, normalize_name
+from .graph import Concept, ConceptGraph, EdgeRow, UnknownConcept
+from .textnorm import mentions_concept, normalize_name, tokenize
 
 
 class RecoveryError(Exception):
@@ -124,7 +125,8 @@ class PromptVariant:
 class RecoveryContext:
     """Context handles for the augmented prompt variants.
 
-    documents feed the Doc variant, training_graph the Con variant,
+    documents feed the Doc variant (through documents_mentioning, whose
+    index is built on first use), training_graph the Con variant,
     wiki_pages (normalized concept name -> introductory paragraph) the
     Wiki variant, and retrieval_index the RAG variant.
     passage_char_limit truncates each retrieved passage when set.
@@ -135,6 +137,39 @@ class RecoveryContext:
     wiki_pages: Mapping[str, str] | None = None
     retrieval_index: RetrievalIndex | None = None
     passage_char_limit: int | None = None
+
+    @cached_property
+    def _documents_by_token(self) -> dict[str, set[int]]:
+        """Token -> indices of the documents holding it, built on first use."""
+        index: dict[str, set[int]] = {}
+        for i, doc in enumerate(self.documents):
+            for token in set(tokenize(doc.text)):
+                index.setdefault(token, set()).add(i)
+        return index
+
+    @cached_property
+    def _documents_by_name(self) -> dict[str, tuple[int, ...]]:
+        return {}
+
+    def documents_mentioning(self, name: str) -> tuple[int, ...]:
+        """Indices, in corpus order, of the documents that mention name.
+
+        Only documents holding every token of the name are tested, and
+        mentions_concept decides each of them; the answer is cached per
+        name for the life of the context.
+        """
+        hits = self._documents_by_name.get(name)
+        if hits is None:
+            by_token = self._documents_by_token
+            postings = [by_token.get(token, set()) for token in set(tokenize(name))]
+            candidates = set.intersection(*postings) if postings else set()
+            hits = tuple(
+                i
+                for i in sorted(candidates)
+                if mentions_concept(self.documents[i].text, name)
+            )
+            self._documents_by_name[name] = hits
+        return hits
 
 
 @dataclass(frozen=True)
@@ -214,7 +249,7 @@ RAG_HEADER = "Related contents:"
 def _con_neighbor_names(graph: ConceptGraph, name: str, direction: str) -> str:
     try:
         concept = graph.resolve(name)
-    except Exception:
+    except UnknownConcept:
         return ""
     table = graph.successors if direction == "out" else graph.predecessors
     return ", ".join(graph.concept(cid).name for cid in table[concept.id])
@@ -239,14 +274,12 @@ def build_additional_info(
     if kind is VariantKind.ZERO_SHOT_DOC:
         if not context.documents:
             raise MissingContext("Doc variant needs context.documents")
-        related = [
-            doc.text
-            for doc in context.documents
-            if mentions_concept(doc.text, a.name) or mentions_concept(doc.text, b.name)
-        ]
-        if not related:
+        hits = sorted(
+            {*context.documents_mentioning(a.name), *context.documents_mentioning(b.name)}
+        )
+        if not hits:
             return ""
-        return f"{DOC_HEADER} " + "\n".join(related)
+        return f"{DOC_HEADER} " + "\n".join(context.documents[i].text for i in hits)
     if kind is VariantKind.ZERO_SHOT_CON:
         graph = context.training_graph
         if graph is None:

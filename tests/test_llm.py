@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
+import threading
 
 import pytest
 import requests
@@ -214,6 +216,31 @@ def test_graph_backed_oracle_answers_from_edges():
     assert oracle(pair_prompt(g.concept("c2"), g.concept("c1"))) == "NO"
     assert oracle(pair_prompt(g.concept("c1"), g.concept("c3"))) == "NO"
     assert oracle.calls == 3
+
+
+def test_graph_backed_oracle_counts_every_call_across_threads():
+    g = small_graph()
+    oracle = GraphBackedOracle(g)
+    prompt = pair_prompt(g.concept("c1"), g.concept("c2"))
+    start = threading.Barrier(8)
+
+    def hammer() -> None:
+        start.wait()
+        for _ in range(2000):
+            oracle(prompt)
+
+    threads = [threading.Thread(target=hammer) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert oracle.calls == 16000
 
 
 def test_graph_backed_oracle_wraps_cot_answers_in_result_tags():

@@ -1,13 +1,17 @@
 """Prompt rendering, verdict parsing, pair sampling, and the recovery loop."""
 from __future__ import annotations
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
+import conceptgraph.recovery as recovery
 from conceptgraph.corpus import CorpusDocument, RetrievalIndex
 from conceptgraph.graph import Concept, ConceptGraph, EdgeRow
 from conceptgraph.recovery import (
+    DOC_HEADER,
     ConflictingJudgments,
     EdgeJudgment,
     InsufficientNegatives,
@@ -36,6 +40,7 @@ from conceptgraph.recovery import (
     save_judgments,
     variant_from_code,
 )
+from conceptgraph.textnorm import mentions_concept, tokenize
 
 VITERBI = Concept("c3", "Viterbi Algorithm")
 POS_TAG = Concept("c4", "POS Tagging")
@@ -125,6 +130,147 @@ def test_doc_variant_with_no_mentions_falls_back_to_bare_prompt():
     assert prompt == EXPECTED_ZS_PROMPT
 
 
+_CORPUS_WORDS = (
+    "neural", "network", "language", "models", "tag", "tagging", "part", "of",
+    "speech", "new", "york", "parsing", "the", "predict", "words", "Network",
+)
+_SEPARATORS = (" ", " ", " ", "-", ", ", ". ", " (", ") ", " \u2014 ")
+
+_ADVERSARIAL_DOCS = (
+    "Neural network language models predict words.",
+    "POS tagging labels each word.",
+    "Part-of-Speech tags come from a tagger.",
+    "PART OF SPEECH, in short.",
+    "New York is new; new new York is newer.",
+    "York, new and old.",
+    "Neural models of language network design.",
+)
+
+_ADVERSARIAL_NAMES = (
+    "neural network",
+    "network language",  # overlaps "neural network" in the first document
+    "Network  Language",
+    "tag",  # only a substring of "tagging" and "tags"
+    "tagging",
+    "Part-of-Speech",
+    "part of speech",
+    "new new york",  # repeated token
+    "new york",
+    "york new",  # the same tokens in another order
+    "language network",
+    "neural language",  # both tokens present but apart in the last document
+    "\u2014",  # no alphanumeric token at all
+    "words",
+)
+
+
+def synthetic_corpus(size: int, seed: int) -> tuple[CorpusDocument, ...]:
+    rng = random.Random(seed)
+    texts = list(_ADVERSARIAL_DOCS)
+    while len(texts) < size:
+        words = [rng.choice(_CORPUS_WORDS) for _ in range(rng.randint(3, 18))]
+        words = [w.upper() if rng.random() < 0.1 else w for w in words]
+        text = words[0]
+        for word in words[1:]:
+            text += rng.choice(_SEPARATORS) + word
+        texts.append(text)
+    rng.shuffle(texts)
+    return tuple(CorpusDocument(i, text) for i, text in enumerate(texts))
+
+
+def reference_doc_block(docs, a: str, b: str) -> str:
+    """The zs-doc block as the per-pair scan over every document renders it."""
+    related = [
+        d.text for d in docs if mentions_concept(d.text, a) or mentions_concept(d.text, b)
+    ]
+    return f"{DOC_HEADER} " + "\n".join(related) if related else ""
+
+
+def test_doc_index_renders_every_pair_as_the_per_document_scan_does():
+    docs = synthetic_corpus(200, seed=11)
+    concepts = [Concept(f"c{i}", name) for i, name in enumerate(_ADVERSARIAL_NAMES)]
+    context = RecoveryContext(documents=docs)
+    variant = PromptVariant(VariantKind.ZERO_SHOT_DOC)
+    for a, b in itertools.product(concepts, repeat=2):
+        got = build_additional_info(variant, a, b, context)
+        assert got == reference_doc_block(docs, a.name, b.name), (a.name, b.name)
+
+    # The corpus exercises each adversarial case.
+    def holds_all_tokens(text: str, name: str) -> bool:
+        return set(tokenize(name)) <= set(tokenize(text))
+
+    for name in ("neural network", "york new", "neural language"):
+        assert any(
+            holds_all_tokens(d.text, name) and not mentions_concept(d.text, name)
+            for d in docs
+        ), name
+    assert any("tag" in d.text.lower() and "tag" not in tokenize(d.text) for d in docs)
+    assert context.documents_mentioning("\u2014") == ()
+    assert context.documents_mentioning("Part-of-Speech") == context.documents_mentioning(
+        "part of speech"
+    )
+    assert context.documents_mentioning("new new york")
+    shared = _ADVERSARIAL_DOCS[0]
+    both = set(context.documents_mentioning("neural network")) & set(
+        context.documents_mentioning("network language")
+    )
+    assert shared in [docs[i].text for i in both]
+    block = build_additional_info(variant, concepts[0], concepts[1], context)
+    assert block.count(shared) == 1
+
+
+def test_doc_variant_tests_only_candidate_documents(monkeypatch):
+    docs = synthetic_corpus(60, seed=3)
+    rng = random.Random(4)
+    names = sorted({f"{rng.choice(_CORPUS_WORDS)} {rng.choice(_CORPUS_WORDS)}" for _ in range(30)})
+    concepts = [Concept(f"c{i:02d}", name) for i, name in enumerate(names[:12])]
+    calls: list[str] = []
+
+    def counting(text: str, name: str) -> bool:
+        calls.append(name)
+        return mentions_concept(text, name)
+
+    monkeypatch.setattr(recovery, "mentions_concept", counting)
+    received: list[str] = []
+
+    def oracle(prompt: str) -> str:
+        received.append(prompt)
+        return "NO"
+
+    variant = PromptVariant(VariantKind.ZERO_SHOT_DOC)
+    result = recover_graph(
+        concepts,
+        oracle,
+        variant,
+        SamplingPlan(mode="all"),
+        domain=DOMAIN,
+        context=RecoveryContext(documents=docs),
+    )
+    pairs = len(result.judgments)
+    assert pairs >= 100 and len(docs) >= 50
+    candidates = sum(
+        1
+        for name in {c.name for c in concepts}
+        for d in docs
+        if set(tokenize(name)) <= set(tokenize(d.text))
+    )
+    assert 0 < len(calls) <= candidates < pairs * len(docs)
+
+    by_id = {c.id: c for c in concepts}
+    expected = [
+        build_pair_prompt(
+            variant,
+            by_id[j.source],
+            by_id[j.target],
+            domain=DOMAIN,
+            context=RecoveryContext(documents=docs),
+        )
+        for j in result.judgments
+    ]
+    assert Counter(received) == Counter(expected)
+    assert sum(DOC_HEADER in prompt for prompt in received) > pairs // 2
+
+
 def test_con_variant_frames_are_byte_exact():
     context = RecoveryContext(training_graph=training_graph())
     info = build_additional_info(
@@ -149,6 +295,19 @@ def test_con_variant_concept_missing_from_training_graph_gets_empty_lists():
         PromptVariant(VariantKind.ZERO_SHOT_CON), outsider, POS_TAG, context
     )
     assert "We know that Transformers is a prerequisite of the following concepts:;" in info
+
+
+def test_con_variant_propagates_other_errors_from_resolve(monkeypatch):
+    context = RecoveryContext(training_graph=training_graph())
+
+    def broken(self, name):
+        raise RuntimeError("name table corrupted")
+
+    monkeypatch.setattr(ConceptGraph, "resolve", broken)
+    with pytest.raises(RuntimeError, match="name table corrupted"):
+        build_additional_info(
+            PromptVariant(VariantKind.ZERO_SHOT_CON), VITERBI, POS_TAG, context
+        )
 
 
 def test_wiki_variant_includes_both_pages():
