@@ -168,7 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--labels", default=None, help="labeled edge TSV for balanced sampling")
     rec.add_argument("--flip-p", type=float, default=0.0, help="mock-graph noise probability")
     rec.add_argument("--domain", default="general knowledge", help="domain named in prompts")
-    rec.add_argument("--concurrency", type=_positive_int, default=8)
+    rec.add_argument(
+        "--concurrency",
+        type=_positive_int,
+        default=8,
+        help="oracle calls in flight; 1 runs without threads",
+    )
     rec.add_argument("--documents", default=None, help="text corpus, one document per line")
     rec.add_argument("--rag-index", default=None, help="saved retrieval index")
     rec.add_argument("--wiki", default=None, help="JSON object: concept name -> paragraph")

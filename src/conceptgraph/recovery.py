@@ -12,10 +12,12 @@ passages to the zero-shot template.
 """
 from __future__ import annotations
 
+import itertools
 import random
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -137,6 +139,11 @@ class RecoveryContext:
     wiki_pages: Mapping[str, str] | None = None
     retrieval_index: RetrievalIndex | None = None
     passage_char_limit: int | None = None
+    # prompts render on the judging threads; the lazy indexes below are
+    # built and filled under this lock, so each name is scanned once
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     @cached_property
     def _documents_by_token(self) -> dict[str, set[int]]:
@@ -158,17 +165,18 @@ class RecoveryContext:
         mentions_concept decides each of them; the answer is cached per
         name for the life of the context.
         """
-        hits = self._documents_by_name.get(name)
-        if hits is None:
-            by_token = self._documents_by_token
-            postings = [by_token.get(token, set()) for token in set(tokenize(name))]
-            candidates = set.intersection(*postings) if postings else set()
-            hits = tuple(
-                i
-                for i in sorted(candidates)
-                if mentions_concept(self.documents[i].text, name)
-            )
-            self._documents_by_name[name] = hits
+        with self._lock:
+            hits = self._documents_by_name.get(name)
+            if hits is None:
+                by_token = self._documents_by_token
+                postings = [by_token.get(token, set()) for token in set(tokenize(name))]
+                candidates = set.intersection(*postings) if postings else set()
+                hits = tuple(
+                    i
+                    for i in sorted(candidates)
+                    if mentions_concept(self.documents[i].text, name)
+                )
+                self._documents_by_name[name] = hits
         return hits
 
 
@@ -457,29 +465,50 @@ def recover_graph(
 ) -> RecoveryResult:
     """Judge the planned pairs and assemble YES edges into a graph.
 
-    Oracle calls run on a bounded thread pool; judgments are reassembled
-    in the planned pair order, so the result is independent of thread
-    scheduling.
+    At concurrency 1 the pairs are judged in a plain loop. Otherwise the
+    plan is cut into min(concurrency, pairs) contiguous spans of equal
+    length, give or take one, which a thread pool judges concurrently.
+    Each prompt is rendered just before its oracle call. Judgments come
+    back in plan order, so the result does not depend on thread
+    scheduling. Spans check a shared event before each oracle call, so
+    judging stops soon after the first pair that raises; calls already
+    in flight on other spans still finish.
     """
     if concurrency < 1:
         raise RecoveryError(f"concurrency must be positive, got {concurrency}")
     by_id = {c.id: c for c in concepts}
     pairs = plan_pairs(concepts, plan, labels)
-    prompts = [
-        build_pair_prompt(
-            variant, by_id[a], by_id[b], domain=domain, context=context
-        )
-        for a, b in pairs
-    ]
+    # an unknown id or a missing wiki page fails before the first oracle call
+    for concept_id in dict.fromkeys(itertools.chain.from_iterable(pairs)):
+        concept = by_id[concept_id]
+        if variant.kind is VariantKind.ZERO_SHOT_WIKI:
+            build_additional_info(variant, concept, concept, context)
+    failed = threading.Event()
 
-    def worker(index: int) -> EdgeJudgment:
-        a, b = pairs[index]
-        return judge_pair(
-            oracle, prompts[index], source=a, target=b, variant_code=variant.code
-        )
+    def judge_span(span: Sequence[tuple[str, str]]) -> list[EdgeJudgment]:
+        out = []
+        try:
+            for a, b in span:
+                prompt = build_pair_prompt(
+                    variant, by_id[a], by_id[b], domain=domain, context=context
+                )
+                if failed.is_set():
+                    break
+                out.append(
+                    judge_pair(oracle, prompt, source=a, target=b, variant_code=variant.code)
+                )
+        except BaseException:
+            failed.set()
+            raise
+        return out
 
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        judgments = tuple(pool.map(worker, range(len(pairs))))
+    if concurrency == 1:
+        judgments = tuple(judge_span(pairs))
+    else:
+        n, k = len(pairs), min(concurrency, len(pairs))
+        spans = [pairs[i * n // k : (i + 1) * n // k] for i in range(k)]
+        with ThreadPoolExecutor(max_workers=concurrency) as pool:
+            judgments = tuple(itertools.chain.from_iterable(pool.map(judge_span, spans)))
 
     edges = frozenset((j.source, j.target) for j in judgments if j.verdict is Verdict.YES)
     return RecoveryResult(graph=ConceptGraph(tuple(concepts), edges), judgments=judgments)

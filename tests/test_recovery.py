@@ -3,7 +3,11 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+import threading
+import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -12,6 +16,7 @@ from conceptgraph.corpus import CorpusDocument, RetrievalIndex
 from conceptgraph.graph import Concept, ConceptGraph, EdgeRow
 from conceptgraph.recovery import (
     DOC_HEADER,
+    RETRY_SUFFIX,
     ConflictingJudgments,
     EdgeJudgment,
     InsufficientNegatives,
@@ -40,7 +45,7 @@ from conceptgraph.recovery import (
     save_judgments,
     variant_from_code,
 )
-from conceptgraph.textnorm import mentions_concept, tokenize
+from conceptgraph.textnorm import mentions_concept, normalize_name, tokenize
 
 VITERBI = Concept("c3", "Viterbi Algorithm")
 POS_TAG = Concept("c4", "POS Tagging")
@@ -269,6 +274,38 @@ def test_doc_variant_tests_only_candidate_documents(monkeypatch):
     ]
     assert Counter(received) == Counter(expected)
     assert sum(DOC_HEADER in prompt for prompt in received) > pairs // 2
+
+
+def test_doc_index_scans_each_name_once_across_threads(monkeypatch):
+    docs = synthetic_corpus(60, seed=3)
+    rng = random.Random(4)
+    names = sorted({f"{rng.choice(_CORPUS_WORDS)} {rng.choice(_CORPUS_WORDS)}" for _ in range(30)})
+    expected = [RecoveryContext(documents=docs).documents_mentioning(n) for n in names]
+    scans: Counter[tuple[str, str]] = Counter()
+    scans_lock = threading.Lock()
+
+    def counting(text: str, name: str) -> bool:
+        with scans_lock:
+            scans[name, text] += 1
+        return mentions_concept(text, name)
+
+    monkeypatch.setattr(recovery, "mentions_concept", counting)
+    context = RecoveryContext(documents=docs)
+
+    def lookup_all(reverse: int) -> list[tuple[int, ...]]:
+        order = names[::-1] if reverse else names
+        found = {n: context.documents_mentioning(n) for n in order}
+        return [found[n] for n in names]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(lookup_all, [i % 2 for i in range(8)]))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(found == expected for found in results)
+    assert scans and max(scans.values()) == 1
 
 
 def test_con_variant_frames_are_byte_exact():
@@ -596,6 +633,166 @@ def test_recover_graph_rejects_bad_concurrency():
             domain=DOMAIN,
             concurrency=0,
         )
+
+
+FORTY = [Concept(f"k{i:02d}", f"Topic {i:02d}") for i in range(40)]
+ZS = PromptVariant(VariantKind.ZERO_SHOT)
+
+
+def pair_numbers(prompt: str) -> tuple[int, int]:
+    """The two topic numbers named on a zero-shot prompt's first line."""
+    first = prompt.split("\n", 1)[0]
+    a_name, b_name = first.split(": A: ", 1)[1].rstrip(".").split(" and B: ")
+    return int(a_name.split()[-1]), int(b_name.split()[-1])
+
+
+def moody_oracle(prompt: str) -> str:
+    """A fixed answer per pair: some pairs need the retry, some stay unparseable."""
+    a, b = pair_numbers(prompt)
+    key = (3 * a + b) % 7
+    retry = prompt.endswith(RETRY_SUFFIX)
+    if key == 0:
+        return "still unsure" if retry else "unclear"
+    if key == 1:
+        return "YES" if retry else "hmm"
+    return "YES" if key % 2 else "NO"
+
+
+def test_recover_graph_output_does_not_depend_on_concurrency(tmp_path):
+    runs = {}
+    for workers in (1, 2, 3, 7):
+        result = recover_graph(
+            FORTY, moody_oracle, ZS, SamplingPlan(), domain=DOMAIN, concurrency=workers
+        )
+        path = tmp_path / f"judgments-{workers}.jsonl"
+        save_judgments(result.judgments, path)
+        runs[workers] = (result, path.read_bytes())
+    serial, serial_bytes = runs[1]
+    assert [(j.source, j.target) for j in serial.judgments] == all_ordered_pairs(FORTY)
+    assert any(j.flagged for j in serial.judgments)
+    assert any(j.raw_response == "YES" and not j.flagged for j in serial.judgments)
+    for workers in (2, 3, 7):
+        assert runs[workers][0] == serial
+        assert runs[workers][1] == serial_bytes
+
+
+class FailsOnce:
+    """Answers NO, except that call number k raises.
+
+    Every call gives up the interpreter, as a call to a live endpoint
+    does, so the spans interleave and all of them are live when call k
+    fails. Calls after the failure also wait a moment: without that, a
+    thread switch between the oracle raising and its span setting the
+    shared event lets an instant oracle on another span answer for a
+    whole switch interval, and the call bound below would depend on
+    timing.
+    """
+
+    def __init__(self, k: int):
+        self.k = k
+        self.calls = 0
+        self.failed_on: tuple[int, int] | None = None
+        self.lock = threading.Lock()
+
+    def __call__(self, prompt: str) -> str:
+        with self.lock:
+            self.calls += 1
+            if self.calls == self.k:
+                self.failed_on = pair_numbers(prompt)
+                raise ConnectionResetError("endpoint went away")
+            late = self.calls > self.k
+        time.sleep(0.01 if late else 0)
+        return "NO"
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+@pytest.mark.parametrize("k", [10, 1000])
+def test_recover_graph_stops_judging_after_the_first_oracle_failure(k, workers):
+    oracle = FailsOnce(k)
+    with pytest.raises(OracleFailure) as err:
+        recover_graph(FORTY, oracle, ZS, SamplingPlan(), domain=DOMAIN, concurrency=workers)
+    assert oracle.calls <= k + workers - 1
+    named = (int(err.value.source[1:]), int(err.value.target[1:]))
+    assert named == oracle.failed_on
+    if workers == 1:
+        assert oracle.calls == k
+        assert (err.value.source, err.value.target) == all_ordered_pairs(FORTY)[k - 1]
+
+
+def test_recover_graph_keeps_concurrency_calls_in_flight():
+    concepts = FORTY[:5]
+    pairs = all_ordered_pairs(concepts)
+    labels = [EdgeRow(a, b, i % 2) for i, (a, b) in enumerate(pairs)]
+    plan = SamplingPlan(mode="balanced", sample_size=8, seed=3)
+    barrier = threading.Barrier(4, timeout=10)
+
+    def together(prompt: str) -> str:
+        barrier.wait()
+        return "YES"
+
+    result = recover_graph(
+        concepts, together, ZS, plan, domain=DOMAIN, labels=labels, concurrency=4
+    )
+    assert len(result.judgments) == 16
+
+
+def test_recover_graph_checks_wiki_pages_before_any_oracle_call():
+    pages = {normalize_name(c.name): f"About {c.name}." for c in FORTY[:-1]}
+    calls = []
+
+    def oracle(prompt: str) -> str:
+        calls.append(prompt)
+        return "NO"
+
+    for workers in (1, 2):
+        with pytest.raises(MissingContext, match="Topic 39"):
+            recover_graph(
+                FORTY,
+                oracle,
+                PromptVariant(VariantKind.ZERO_SHOT_WIKI),
+                SamplingPlan(),
+                domain=DOMAIN,
+                context=RecoveryContext(wiki_pages=pages),
+                concurrency=workers,
+            )
+    assert calls == []
+
+
+def test_recover_graph_renders_each_prompt_just_before_its_call(monkeypatch):
+    rendered = []
+    real_build = recovery.build_pair_prompt
+
+    def counting_build(*args, **kwargs):
+        rendered.append(1)
+        return real_build(*args, **kwargs)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("concurrency 1 starts no thread pool")
+
+    rendered_at_call: list[int] = []
+
+    def oracle(prompt: str) -> str:
+        rendered_at_call.append(len(rendered))
+        return "NO"
+
+    monkeypatch.setattr(recovery, "build_pair_prompt", counting_build)
+    monkeypatch.setattr(recovery, "ThreadPoolExecutor", no_pool)
+    recover_graph(FORTY, oracle, ZS, SamplingPlan(), domain=DOMAIN, concurrency=1)
+    assert rendered_at_call == list(range(1, 1561))
+
+
+def test_recover_graph_submits_spans_not_pairs(monkeypatch):
+    submitted = []
+    real_submit = ThreadPoolExecutor.submit
+
+    def counting_submit(self, fn, /, *args, **kwargs):
+        submitted.append(fn)
+        return real_submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
+    result = recover_graph(FORTY, moody_oracle, ZS, SamplingPlan(), domain=DOMAIN, concurrency=2)
+    assert len(result.judgments) == 1560
+    assert 0 < len(submitted) < 10
 
 
 # -- judgment serialization -----------------------------------------------------------
