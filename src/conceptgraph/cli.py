@@ -608,7 +608,7 @@ def cmd_qa(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
     items = pipeline.load_tutorqa(args.tutorqa)
 
     if args.command_oracle == "template":
-        command_oracle: object = llm.TemplateCommandOracle([c.name for c in g.concepts])
+        command_oracle: object = llm.TemplateCommandOracle(g.matcher)
     elif args.command_oracle == "garbage":
         command_oracle = llm.GarbageCommandOracle()
     else:

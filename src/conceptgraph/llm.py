@@ -13,8 +13,8 @@ traces, or error messages.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
-import re
 import threading
 import time
 from dataclasses import dataclass
@@ -25,9 +25,14 @@ import requests
 
 from . import files
 from .graph import ConceptGraph
-from .pipeline import EMPTY_SECTION, NEIGHBORHOOD_MARKER, PATH_MARKER, QUESTION_MARKER
-from .pipeline import YES_NO_RULE, parse_concept_list
-from .recovery import DOC_HEADER, RAG_HEADER
+from .pipeline import (
+    parse_concept_list,
+    read_command_prompt,
+    read_grounding_prompt,
+    read_proposal_prompt,
+)
+from .query import Neighbors, Prerequisites, Reachable, ShortestPath, render_query
+from .recovery import BARE_PROMPT_CODES, read_pair_prompt
 from .textnorm import VocabularyMatcher, normalize_name, ordered_unique
 
 API_KEY_ENV = "LLM_API_KEY"
@@ -137,40 +142,13 @@ class LiveOracle:
 
 # -- prompt classification -----------------------------------------------------
 
-_ZS_FIRST_LINE = re.compile(
-    r"\AWe have two (?P<domain>.*?) related concepts: "
-    r"A: (?P<a>.*?) and B: (?P<b>.*)\.$",
-    re.MULTILINE,
-)
-_COT_OPENING = re.compile(
-    r"\AIn the context of (?P<domain>.*?), we have two concepts: "
-    r"A: (?P<a>.*?) and B: (?P<b>.*?)\. Assess if understanding "
-)
-
 
 def parse_pair_prompt(prompt: str) -> tuple[str, str, str]:
-    """Extract (a, b, variant code) from a pair-judgment prompt.
-
-    Classification reads the structural markers each variant leaves in
-    the rendered text; prompts that fit no frame raise.
-    """
-    cot = _COT_OPENING.search(prompt)
-    if cot:
-        return cot.group("a"), cot.group("b"), "cot"
-    zs = _ZS_FIRST_LINE.search(prompt)
-    if not zs:
+    """(a, b, variant code) of a pair-judgment prompt; recovery reads it."""
+    read = read_pair_prompt(prompt)
+    if read is None:
         raise UnrecognizedPrompt(f"not a pair prompt: {prompt[:80]!r}")
-    a, b = zs.group("a"), zs.group("b")
-    lines = prompt.split("\n")
-    for i, line in enumerate(lines):
-        if line == RAG_HEADER:
-            return a, b, "zs-rag"
-        if line == DOC_HEADER:
-            nxt = lines[i + 1] if i + 1 < len(lines) else ""
-            return (a, b, "zs-con") if nxt.startswith("We know that ") else (a, b, "zs-wiki")
-        if line.startswith(DOC_HEADER + " "):
-            return a, b, "zs-doc"
-    return a, b, "zs"
+    return read
 
 
 # -- deterministic mocks --------------------------------------------------------
@@ -233,7 +211,9 @@ class ScriptedOracle:
 
     Rows are dicts with keys a, b, response, and optional variant (a
     variant code). Lookup prefers the variant-specific row, then the
-    variant-less row, and raises on a miss.
+    variant-less row, and raises on a miss. A bare zero-shot prompt may
+    come from a Doc or RAG run whose context matched nothing, so after
+    the "zs" row it tries those variants' rows (BARE_PROMPT_CODES).
     """
 
     def __init__(self, rows: Sequence[Mapping[str, object]]):
@@ -256,9 +236,10 @@ class ScriptedOracle:
     def __call__(self, prompt: str) -> str:
         a, b, variant = parse_pair_prompt(prompt)
         key_a, key_b = normalize_name(a), normalize_name(b)
-        for key in ((key_a, key_b, variant), (key_a, key_b, None)):
-            if key in self._rows:
-                return self._rows[key]
+        variants = (variant, *BARE_PROMPT_CODES) if variant == "zs" else (variant,)
+        for code in (*variants, None):
+            if (key_a, key_b, code) in self._rows:
+                return self._rows[key_a, key_b, code]
         raise FixtureMiss(f"no fixture row for pair ({a!r}, {b!r})")
 
 
@@ -274,57 +255,37 @@ class EchoOracle:
 
 # -- pipeline mocks ---------------------------------------------------------------
 
-_TASK_LINE_RE = re.compile(r"^Task (?P<n>[1-5]) question:$", re.MULTILINE)
-
-
-def _escape_name(name: str) -> str:
-    return name.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def _section_after(prompt: str, marker: str) -> str | None:
-    lines = prompt.split("\n")
-    try:
-        start = lines.index(marker) + 1
-    except ValueError:
-        return None
-    body: list[str] = []
-    for line in lines[start:]:
-        if line.startswith("***"):
-            break
-        body.append(line)
-    return "\n".join(body).strip()
-
 
 class TemplateCommandOracle:
     """Generates graph-query commands from task prompts.
 
     Extracts concept mentions from the question with the shared
-    vocabulary scanner and fills a fixed command shape per task. With
-    fewer mentions than the shape needs it falls back to the literal
-    name "unknown", which parses but fails concept resolution, which is
-    exactly what the pipeline's fallback path is for.
+    vocabulary scanner (a VocabularyMatcher, such as
+    ConceptGraph.matcher, is used as is) and fills a fixed command shape
+    per task. With fewer mentions than the shape needs it falls back to
+    the literal name "unknown", which parses but fails concept
+    resolution, which is exactly what the pipeline's fallback path is
+    for.
     """
 
-    def __init__(self, vocabulary: Sequence[str]):
-        self._matcher = VocabularyMatcher(vocabulary)
+    def __init__(self, vocabulary: Sequence[str] | VocabularyMatcher):
+        self._matcher = VocabularyMatcher.of(vocabulary)
 
     def __call__(self, prompt: str) -> str:
-        match = _TASK_LINE_RE.search(prompt)
-        if not match:
-            raise UnrecognizedPrompt(f"no task line in {prompt[:80]!r}")
-        task = int(match.group("n"))
-        question = prompt[match.end() :].split("\n\n", 1)[0].strip()
+        read = read_command_prompt(prompt)
+        if read is None:
+            raise UnrecognizedPrompt(f"not a command prompt: {prompt[:80]!r}")
+        task, question = read
         mentions = ordered_unique(self._matcher.scan(question))
-        first = _escape_name(mentions[0]) if mentions else "unknown"
-        second = _escape_name(mentions[1]) if len(mentions) > 1 else "unknown"
+        first, second = (*mentions, "unknown", "unknown")[:2]
         if task == 1:
-            return f'REACHABLE "{first}" -> "{second}"'
+            return render_query(Reachable(first, second))
         if task == 2:
-            return f'PREREQ "{first}" DEPTH 3'
+            return render_query(Prerequisites(first, 3))
         if task == 3:
-            return f'SHORTEST "{first}" -> "{second}"'
+            return render_query(ShortestPath(first, second))
         if task == 4:
-            return f'NEIGHBORS "{first}" IN HOPS 2'
+            return render_query(Neighbors(first, "in", 2))
         raise UnrecognizedPrompt(f"task {task} prompts do not ask for a command")
 
 
@@ -344,19 +305,17 @@ class GroundedAnswerOracle:
     """
 
     def __call__(self, prompt: str) -> str:
-        if QUESTION_MARKER not in prompt:
-            raise UnrecognizedPrompt(f"not a grounding prompt: {prompt[:80]!r}")
-        path_section = _section_after(prompt, PATH_MARKER)
-        if path_section is not None:
-            if YES_NO_RULE in prompt:
-                return "No" if path_section == EMPTY_SECTION else "Yes"
-            if path_section == EMPTY_SECTION:
-                return ""
-            return "; ".join(parse_concept_list(path_section.replace("\n", ";")))
-        neighborhood = _section_after(prompt, NEIGHBORHOOD_MARKER)
-        if neighborhood is not None:
-            if neighborhood == EMPTY_SECTION:
+        grounding = read_grounding_prompt(prompt)
+        if grounding is not None:
+            _, yes_no, paths = grounding
+            if yes_no:
+                return "Yes" if paths else "No"
+            return "; ".join(parse_concept_list(";".join(itertools.chain(*paths))))
+        proposal = read_proposal_prompt(prompt)
+        if proposal is not None:
+            _, names = proposal
+            if not names:
                 return "No related concepts were found to review."
-            names = "; ".join(parse_concept_list(neighborhood))
-            return f"To improve, review these related concepts: {names}."
-        raise UnrecognizedPrompt("grounding prompt has no path section")
+            listed = "; ".join(parse_concept_list(";".join(names)))
+            return f"To improve, review these related concepts: {listed}."
+        raise UnrecognizedPrompt(f"not a grounding prompt: {prompt[:80]!r}")

@@ -12,6 +12,7 @@ writing grounded on concept neighborhoods (free text, no query stage).
 """
 from __future__ import annotations
 
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,7 +34,7 @@ from .query import (
     parse_query,
     render_query,
 )
-from .recovery import RETRY_SUFFIX, UnparseableVerdict, Verdict, parse_verdict
+from .recovery import RETRY_SUFFIX, UnparseableVerdict, Verdict, parse_verdict, template_regex
 from .textnorm import VocabularyMatcher, ordered_unique
 
 Oracle = Callable[[str], str]
@@ -52,6 +53,8 @@ _GROUNDING_OPENING = (
     "Only use the returned path as the information for answering.",
 )
 YES_NO_RULE = 'Only return "Yes" or "No".'
+_TASK_LINE = "Task {task} question:"
+_COMMAND_CLOSING = "Reply with exactly one command on a single line, nothing else."
 _PROPOSAL_OPENING = (
     "There is a concept graph that includes the relations between concepts.",
     "Based on the question, nearby concepts from the graph have been returned.",
@@ -137,9 +140,25 @@ def build_command_prompt(question: str, task: int) -> str:
     return (
         "You can query a concept graph with one command.\n\n"
         f"{GRAMMAR_REFERENCE}\n\n"
-        f"Task {task} question:\n{question}\n\n"
-        "Reply with exactly one command on a single line, nothing else."
+        f"{_TASK_LINE.format(task=task)}\n{question}\n\n"
+        f"{_COMMAND_CLOSING}"
     )
+
+
+_TASK_LINE_RE = re.compile("^" + template_regex(_TASK_LINE, task=r"\d+") + "$", re.MULTILINE)
+
+
+def read_command_prompt(prompt: str) -> tuple[int, str] | None:
+    """(task, question) of a prompt build_command_prompt rendered, else None.
+
+    The question runs from the first task line to the closing line, so
+    it may hold blank lines and task lines of its own.
+    """
+    match = _TASK_LINE_RE.search(prompt)
+    closing = f"\n\n{_COMMAND_CLOSING}"
+    if match is None or not prompt.endswith(closing):
+        return None
+    return int(match["task"]), prompt[match.end() + 1 : len(prompt) - len(closing)]
 
 
 def generate_command(question: str, task: int, oracle: Oracle) -> str:
@@ -181,6 +200,43 @@ def build_grounding_prompt(question: str, outcome: QueryOutcome) -> str:
     return "\n".join(lines)
 
 
+def _read_sections(prompt: str, marker: str) -> tuple[str, str, str] | None:
+    """(opening, question, section) of a prompt laid out as opening lines,
+    the question marker, the question, marker, and the section.
+
+    The question ends at the last line equal to marker, so it may hold
+    marker lines of its own; a section holding a marker line is refused.
+    """
+    opening, found, rest = ("\n" + prompt).partition(f"\n{QUESTION_MARKER}\n")
+    if not found:
+        return None
+    question, found, section = rest.rpartition(f"\n{marker}\n")
+    if not found or any(
+        f"\n{other}\n" in f"\n{section}\n" for other in (PATH_MARKER, NEIGHBORHOOD_MARKER)
+    ):
+        return None
+    return opening[1:], question, section
+
+
+def read_grounding_prompt(
+    prompt: str,
+) -> tuple[str, bool, tuple[tuple[str, ...], ...]] | None:
+    """(question, yes/no rule, named paths) of a prompt that
+    build_grounding_prompt rendered, with or without the retry
+    instruction ground_and_answer appends; None for any other text."""
+    prompt = prompt.removesuffix(RETRY_SUFFIX)
+    read = _read_sections(prompt, PATH_MARKER)
+    if read is None:
+        return None
+    opening, question, section = read
+    paths = () if section == EMPTY_SECTION else section.split("\n")
+    return (
+        question,
+        YES_NO_RULE in opening.split("\n"),
+        tuple(tuple(path.split(";")) for path in paths),
+    )
+
+
 def ground_and_answer(question: str, outcome: QueryOutcome, oracle: Oracle) -> str:
     """Answer the question from the outcome's paths alone.
 
@@ -188,7 +244,10 @@ def ground_and_answer(question: str, outcome: QueryOutcome, oracle: Oracle) -> s
     one retry when the response contains neither token; other kinds
     return the oracle's text verbatim.
     """
-    prompt = build_grounding_prompt(question, outcome)
+    return _answer_grounded(build_grounding_prompt(question, outcome), outcome, oracle)
+
+
+def _answer_grounded(prompt: str, outcome: QueryOutcome, oracle: Oracle) -> str:
     response = oracle(prompt)
     if outcome.kind != "reachable":
         return response
@@ -265,13 +324,14 @@ def run_task(
             raise FallbackExhausted(
                 f"command {generated!r} failed ({exc}); {final}"
             ) from exc
-    answer = ground_and_answer(item.question, outcome, answer_oracle)
+    prompt = build_grounding_prompt(item.question, outcome)
+    answer = _answer_grounded(prompt, outcome, answer_oracle)
     trace = PipelineTrace(
         question=item.question,
         generated_command=generated,
         parsed_query=query,
         outcome=outcome,
-        grounding_prompt=build_grounding_prompt(item.question, outcome),
+        grounding_prompt=prompt,
         final_answer=answer,
         fallback_used=fallback_used,
     )
@@ -288,6 +348,16 @@ def build_proposal_prompt(question: str, neighborhood: list[str]) -> str:
         section,
     ]
     return "\n".join(lines)
+
+
+def read_proposal_prompt(prompt: str) -> tuple[str, tuple[str, ...]] | None:
+    """(question, neighborhood names) of a prompt build_proposal_prompt
+    rendered, else None."""
+    read = _read_sections(prompt, NEIGHBORHOOD_MARKER)
+    if read is None:
+        return None
+    _, question, section = read
+    return question, () if section == EMPTY_SECTION else tuple(section.split("; "))
 
 
 def run_task_5(

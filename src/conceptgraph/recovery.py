@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import string
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -252,6 +253,11 @@ RETRY_SUFFIX = "\nAnswer YES or NO only."
 
 DOC_HEADER = "And here are related contents to help:"
 RAG_HEADER = "Related contents:"
+_CON_LINE = "We know that {name} is a prerequisite of the following concepts:{names};"
+
+# Doc and RAG drop their block when nothing matches, so a prompt of either
+# variant can be a bare zero-shot prompt, which reads back as "zs".
+BARE_PROMPT_CODES = (VariantKind.ZERO_SHOT_DOC.value, VariantKind.ZERO_SHOT_RAG.value)
 
 
 def _con_neighbor_names(graph: ConceptGraph, name: str, direction: str) -> str:
@@ -272,7 +278,7 @@ def build_additional_info(
     """Extra prompt block for the context-augmented variants.
 
     Doc and RAG return "" when nothing matches, which drops the block
-    and leaves the bare zero-shot prompt.
+    and leaves the bare zero-shot prompt (see BARE_PROMPT_CODES).
     """
     kind = variant.kind
     if kind in (VariantKind.ZERO_SHOT, VariantKind.COT):
@@ -294,12 +300,10 @@ def build_additional_info(
             raise MissingContext("Con variant needs context.training_graph")
         lines = [
             DOC_HEADER,
-            f"We know that {a.name} is a prerequisite of the following "
-            f"concepts:{_con_neighbor_names(graph, a.name, 'out')};",
+            _CON_LINE.format(name=a.name, names=_con_neighbor_names(graph, a.name, "out")),
             f"The following concepts are the prerequisites of {a.name} : "
             f"{_con_neighbor_names(graph, a.name, 'in')};",
-            f"We know that {b.name} is a prerequisite of the following "
-            f"concepts:{_con_neighbor_names(graph, b.name, 'out')};",
+            _CON_LINE.format(name=b.name, names=_con_neighbor_names(graph, b.name, "out")),
             f"The following concepts are the prerequisites of {b.name} : "
             f"{_con_neighbor_names(graph, b.name, 'in')}.",
         ]
@@ -344,6 +348,59 @@ def build_pair_prompt(
     base = _ZS_TEMPLATE.format(domain=domain, a=a.name, b=b.name)
     info = build_additional_info(variant, a, b, context)
     return f"{base}\n{info}" if info else base
+
+
+def template_regex(template: str, **fields: str) -> str:
+    """Regex source matching what template.format renders.
+
+    The literal text is escaped; the first occurrence of each field is a
+    named group of the given pattern, and later ones must repeat it.
+    """
+    parts, seen = [], set()
+    for literal, name, _, _ in string.Formatter().parse(template):
+        parts.append(re.escape(literal))
+        if name is not None:
+            parts.append(f"(?P={name})" if name in seen else f"(?P<{name}>{fields[name]})")
+            seen.add(name)
+    return "".join(parts)
+
+
+_LINE_PART = ".*?"  # without DOTALL, never crosses a line end
+_ZS_PROMPT_RE = re.compile(
+    r"\A"
+    + template_regex(_ZS_TEMPLATE, domain=_LINE_PART, a=_LINE_PART, b=_LINE_PART)
+    + r"(?:\n|\Z)"
+)
+_COT_PROMPT_RE = re.compile(
+    r"\A" + template_regex(_COT_TEMPLATE, domain=_LINE_PART, a=_LINE_PART, b=_LINE_PART)
+)
+_CON_LINE_RE = re.compile(template_regex(_CON_LINE, name=_LINE_PART, names=".*"))
+
+
+def read_pair_prompt(prompt: str) -> tuple[str, str, str] | None:
+    """(a, b, variant code) of a prompt build_pair_prompt rendered, else None.
+
+    A zero-shot prompt's variant is read from the first line after the
+    template: the RAG header, the Doc header followed by a document on
+    the same line, or the bare Doc header that opens a Con block (its
+    next line has the Con shape) or Wiki pages. Any other line, such as
+    a retry instruction, leaves it "zs"; see BARE_PROMPT_CODES.
+    """
+    zs = _ZS_PROMPT_RE.match(prompt)
+    if zs is None:
+        cot = _COT_PROMPT_RE.match(prompt)
+        return None if cot is None else (cot["a"], cot["b"], "cot")
+    lines = prompt[zs.end() :].split("\n", 2)
+    if lines[0] == RAG_HEADER:
+        code = "zs-rag"
+    elif lines[0] == DOC_HEADER:
+        con = len(lines) > 1 and _CON_LINE_RE.fullmatch(lines[1])
+        code = "zs-con" if con else "zs-wiki"
+    elif lines[0].startswith(DOC_HEADER + " "):
+        code = "zs-doc"
+    else:
+        code = "zs"
+    return zs["a"], zs["b"], code
 
 
 _RESULT_TAG_RE = re.compile(r"<result>\s*(yes|no)\s*</result>", re.IGNORECASE)
@@ -480,7 +537,9 @@ def recover_graph(
     pairs = plan_pairs(concepts, plan, labels)
     # an unknown id or a missing wiki page fails before the first oracle call
     for concept_id in dict.fromkeys(itertools.chain.from_iterable(pairs)):
-        concept = by_id[concept_id]
+        concept = by_id.get(concept_id)
+        if concept is None:
+            raise UnknownConcept(f"labels name concept id {concept_id!r}, not among the concepts")
         if variant.kind is VariantKind.ZERO_SHOT_WIKI:
             build_additional_info(variant, concept, concept, context)
     failed = threading.Event()

@@ -25,9 +25,11 @@ from conceptgraph.cli import (
     replay_manifest,
     sha256_digest,
 )
+from conceptgraph.corpus import RetrievalIndex, ingest
 from conceptgraph.graph import EdgeRow, load_edge_rows
 from conceptgraph.linkpred import ConcatModel, GcnModel
 from conceptgraph.pipeline import load_traces
+from conceptgraph.textnorm import VocabularyMatcher
 
 
 NAMES = [
@@ -673,3 +675,63 @@ def test_config_line_holding_u2028_is_one_line(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("domain = speech\u2028language\r\nseed = 3\n", encoding="utf-8")
     assert parse_config_file(config) == ["--domain", "speech\u2028language", "--seed", "3"]
+
+
+@pytest.mark.parametrize("variant", ["zs-doc", "zs-rag"])
+def test_fixture_replay_of_context_runs_whose_context_misses_some_pairs(tmp_path, variant):
+    # the corpus mentions only Probability, so (Hidden Markov Model, Viterbi
+    # Algorithm) renders the bare zero-shot prompt under both variants
+    write_concepts(tmp_path / "concepts.tsv", NAMES[:3])
+    write_edges(tmp_path / "hidden.tsv", [(0, 1), (1, 2)])
+    words = " ".join(f"filler{i}" for i in range(30))
+    lines = [f"Probability is counted here {words}", f"Nothing else is named {words}"]
+    documents = ingest(lines)
+    (tmp_path / "corpus.txt").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    RetrievalIndex(documents).save(tmp_path / "index.json")
+    assert RetrievalIndex(documents).retrieve("Hidden Markov Model Viterbi Algorithm") == []
+    context = (
+        ["--documents", str(tmp_path / "corpus.txt")]
+        if variant == "zs-doc"
+        else ["--rag-index", str(tmp_path / "index.json")]
+    )
+    run = recover_argv(tmp_path, "a", "--variant", variant, "--flip-p", "0.3", *context)
+    assert main(run) == EXIT_OK
+    fixtures_argv = [
+        "fixtures",
+        "--judgments",
+        str(tmp_path / "a" / "judgments.jsonl"),
+        "--concepts",
+        str(tmp_path / "concepts.tsv"),
+        "--output-dir",
+        str(tmp_path / "fx"),
+    ]
+    assert main(fixtures_argv) == EXIT_OK
+    replay = recover_argv(tmp_path, "b", "--variant", variant, *context)
+    replay[4] = f"mock-script:{tmp_path / 'fx' / 'fixtures.jsonl'}"
+    assert main(replay) == EXIT_OK
+    for name in ("recovered-edges.tsv", "judgments.jsonl"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_recover_labels_naming_an_unknown_concept_exit_2(workspace, capsys, monkeypatch):
+    labels = workspace / "labels.tsv"
+    labels.write_text("c0\tc1\t1\nc2\tc9\t0\n", encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(cli.llm.GraphBackedOracle, "__call__", lambda self, p: calls.append(p))
+    argv = recover_argv(workspace, "out", "--pairs", "balanced:1", "--labels", str(labels))
+    assert main(argv) == EXIT_DATA
+    assert "'c9'" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_qa_builds_one_vocabulary_scanner(qa_workspace, monkeypatch):
+    builds = []
+    original = VocabularyMatcher.__init__
+
+    def counting_init(self, vocabulary):
+        builds.append(1)
+        original(self, vocabulary)
+
+    monkeypatch.setattr(VocabularyMatcher, "__init__", counting_init)
+    assert main(qa_argv(qa_workspace, "out")) == EXIT_OK
+    assert len(builds) == 1

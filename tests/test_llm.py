@@ -28,6 +28,7 @@ from conceptgraph.llm import (
     complete,
     parse_pair_prompt,
 )
+from conceptgraph.pipeline import TutorQaItem, build_command_prompt, run_task
 from conceptgraph.recovery import (
     PromptVariant,
     RecoveryContext,
@@ -201,6 +202,22 @@ def test_parse_pair_prompt_identifies_all_variants():
     assert parse_pair_prompt(rag)[2] == "zs-rag"
 
 
+def test_parse_pair_prompt_reads_a_wiki_page_that_opens_like_a_con_line():
+    g = small_graph()
+    pages = {
+        "probability": "We know that probability measures uncertainty.",
+        "hidden markov model": "An HMM has hidden states.",
+    }
+    prompt = build_pair_prompt(
+        PromptVariant(VariantKind.ZERO_SHOT_WIKI),
+        g.concept("c1"),
+        g.concept("c2"),
+        domain="statistics",
+        context=RecoveryContext(wiki_pages=pages),
+    )
+    assert parse_pair_prompt(prompt) == ("Probability", "Hidden Markov Model", "zs-wiki")
+
+
 def test_parse_pair_prompt_rejects_other_text():
     with pytest.raises(UnrecognizedPrompt):
         parse_pair_prompt("What is a concept graph?")
@@ -351,6 +368,22 @@ def test_template_command_oracle_per_task():
     assert oracle(command_prompt(2, q)) == 'PREREQ "Probability" DEPTH 3'
     assert oracle(command_prompt(3, q)) == 'SHORTEST "Probability" -> "Viterbi Algorithm"'
     assert oracle(command_prompt(4, q)) == 'NEIGHBORS "Probability" IN HOPS 2'
+
+
+def test_template_command_oracle_reads_a_question_past_its_blank_line():
+    oracle = TemplateCommandOracle(VOCAB)
+    question = "Here is my situation.\n\nWhat are the prerequisites of the Viterbi Algorithm?"
+    assert oracle(build_command_prompt(question, 2)) == 'PREREQ "Viterbi Algorithm" DEPTH 3'
+    item = TutorQaItem(2, question, ("Probability", "Hidden Markov Model"))
+    _, trace = run_task(item, small_graph(), oracle, GroundedAnswerOracle())
+    assert not trace.fallback_used
+
+
+def test_template_command_oracle_accepts_a_shared_matcher():
+    g = small_graph()
+    oracle = TemplateCommandOracle(g.matcher)
+    prompt = build_command_prompt("Does probability lead to the viterbi algorithm?", 1)
+    assert oracle(prompt) == TemplateCommandOracle(VOCAB)(prompt)
 
 
 def test_template_command_oracle_uses_unknown_placeholder():

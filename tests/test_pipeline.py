@@ -553,3 +553,20 @@ def test_parse_concept_list():
     assert parse_concept_list("a; b ;a;") == ["a", "b"]
     assert parse_concept_list("") == []
     assert parse_concept_list("one") == ["one"]
+
+
+def test_run_task_renders_each_grounding_prompt_once(graph, monkeypatch):
+    rendered = []
+
+    def counting_build(question, outcome):
+        rendered.append(question)
+        return build_grounding_prompt(question, outcome)
+
+    monkeypatch.setattr("conceptgraph.pipeline.build_grounding_prompt", counting_build)
+    vocab = [c.name for c in graph.concepts]
+    items = [item1(a, b, "Yes") for a, b in zip(NAMES, reversed(NAMES)) if a != b]
+    results = run_items(items, graph, TemplateCommandOracle(vocab), GroundedAnswerOracle())
+    assert rendered == [item.question for item in items]
+    for item, (answer, trace) in zip(items, results):
+        assert trace.grounding_prompt == build_grounding_prompt(item.question, trace.outcome)
+        assert answer == ground_and_answer(item.question, trace.outcome, GroundedAnswerOracle())
