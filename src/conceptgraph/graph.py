@@ -7,10 +7,8 @@ enumerates simple paths (no repeated node) with a depth bound.
 """
 from __future__ import annotations
 
-import csv
-import io
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -340,25 +338,37 @@ class ConceptGraph:
 # -- TSV interchange -----------------------------------------------------
 
 
+def _read_tsv(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """Numbered rows, one per line, with fields split at tabs and kept
+    verbatim; blank lines are skipped."""
+    for lineno, line in enumerate(files.read_lines(path), start=1):
+        row = line.split("\t")
+        if len(row) > 1 or row[0].strip():
+            yield lineno, row
+
+
 def load_concepts(path: str | Path) -> list[Concept]:
     """Read `id<TAB>name` rows; blank lines are skipped."""
     out: list[Concept] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh, delimiter="\t"), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise TsvFormatError(
-                    f"{path}:{lineno}: expected 2 columns, got {len(row)}"
-                )
-            out.append(Concept(id=row[0].strip(), name=row[1].strip()))
+    for lineno, row in _read_tsv(path):
+        if len(row) != 2:
+            raise TsvFormatError(
+                f"{path}:{lineno}: expected 2 columns, got {len(row)}"
+            )
+        out.append(Concept(id=row[0].strip(), name=row[1].strip()))
     return out
 
 
 def _write_tsv(path: str | Path, records: Iterable[Sequence[str]]) -> None:
-    buffer = io.StringIO()
-    csv.writer(buffer, delimiter="\t", lineterminator="\n").writerows(records)
-    files.write_text_atomic(path, buffer.getvalue())
+    """Write fields verbatim, one record a line; a field holding a tab or a
+    line break has no such form and is refused."""
+    lines = []
+    for record in records:
+        for field in record:
+            if "\t" in field or "\n" in field or "\r" in field:
+                raise TsvFormatError(f"{path}: field {field!r} holds a tab or a line break")
+        lines.append("\t".join(record) + "\n")
+    files.write_text_atomic(path, "".join(lines))
 
 
 def save_concepts(concepts: Iterable[Concept], path: str | Path) -> None:
@@ -368,27 +378,24 @@ def save_concepts(concepts: Iterable[Concept], path: str | Path) -> None:
 def load_edge_rows(path: str | Path) -> list[EdgeRow]:
     """Read `source<TAB>target[<TAB>label]` rows; labels must be 0 or 1."""
     out: list[EdgeRow] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh, delimiter="\t"), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) not in (2, 3):
+    for lineno, row in _read_tsv(path):
+        if len(row) not in (2, 3):
+            raise TsvFormatError(
+                f"{path}:{lineno}: expected 2 or 3 columns, got {len(row)}"
+            )
+        label: int | None = None
+        if len(row) == 3:
+            try:
+                label = int(row[2])
+            except ValueError:
                 raise TsvFormatError(
-                    f"{path}:{lineno}: expected 2 or 3 columns, got {len(row)}"
+                    f"{path}:{lineno}: label must be an integer, got {row[2]!r}"
+                ) from None
+            if label not in (0, 1):
+                raise TsvFormatError(
+                    f"{path}:{lineno}: label must be 0 or 1, got {label}"
                 )
-            label: int | None = None
-            if len(row) == 3:
-                try:
-                    label = int(row[2])
-                except ValueError:
-                    raise TsvFormatError(
-                        f"{path}:{lineno}: label must be an integer, got {row[2]!r}"
-                    ) from None
-                if label not in (0, 1):
-                    raise TsvFormatError(
-                        f"{path}:{lineno}: label must be 0 or 1, got {label}"
-                    )
-            out.append(EdgeRow(row[0].strip(), row[1].strip(), label))
+        out.append(EdgeRow(row[0].strip(), row[1].strip(), label))
     return out
 
 

@@ -239,6 +239,7 @@ class ForwardState:
     """Activations kept for the backward pass."""
 
     h0: np.ndarray
+    propagated: tuple[np.ndarray, ...]
     pre_activations: tuple[np.ndarray, ...]
     activations: tuple[np.ndarray, ...]
 
@@ -248,17 +249,26 @@ class ForwardState:
 
 
 def gcn_forward(x: np.ndarray, a_norm: np.ndarray, model: GcnModel) -> ForwardState:
-    """Linear projection, then relu(A_hat H W) per layer."""
+    """Linear projection, then relu((A_hat H) W) per layer.
+
+    A_hat H is kept for the backward pass. It is the left product that
+    `a_norm @ state @ w` evaluates first, so keeping it changes no bit.
+    """
     h = x @ model.w_proj
+    prop: list[np.ndarray] = []
     pre: list[np.ndarray] = []
     act: list[np.ndarray] = []
     state = h
     for w in model.w_layers:
-        z = a_norm @ state @ w
+        p = a_norm @ state
+        z = p @ w
         state = np.maximum(z, 0.0)
+        prop.append(p)
         pre.append(z)
         act.append(state)
-    return ForwardState(h0=h, pre_activations=tuple(pre), activations=tuple(act))
+    return ForwardState(
+        h0=h, propagated=tuple(prop), pre_activations=tuple(pre), activations=tuple(act)
+    )
 
 
 def score_all_pairs(x_hat: np.ndarray, model: GcnModel) -> np.ndarray:
@@ -277,22 +287,23 @@ def gcn_loss_and_grads(
     x: np.ndarray,
     a_norm: np.ndarray,
     model: GcnModel,
-    batch: Sequence[tuple[int, int, int]],
+    batch: np.ndarray | Sequence[tuple[int, int, int]],
 ) -> tuple[float, GcnGrads]:
     """Mean BCE over the labeled (i, j, y) entries plus analytic gradients.
 
+    batch is an (n, 3) integer array or a sequence of (i, j, y) triples.
     The score gradient (sigmoid(S) - y) / |B| is placed on the labeled
     entries of an otherwise-zero matrix and pushed back through the
     bilinear scorer, each convolution, and the projection.
     """
-    if not batch:
+    batch = np.asarray(batch)
+    if len(batch) == 0:
         raise DegenerateLabels("empty training batch")
     state = gcn_forward(x, a_norm, model)
     x_hat = state.output
     scores = x_hat @ model.r @ x_hat.T
-    rows = np.array([b[0] for b in batch])
-    cols = np.array([b[1] for b in batch])
-    labels = np.array([b[2] for b in batch], dtype=np.float64)
+    rows, cols = batch[:, 0], batch[:, 1]
+    labels = batch[:, 2].astype(np.float64)
     logits = scores[rows, cols]
     loss = bce_from_logits(logits, labels)
 
@@ -303,11 +314,9 @@ def gcn_loss_and_grads(
     d_h = g @ x_hat @ model.r.T + g.T @ x_hat @ model.r
 
     d_layers: list[np.ndarray] = []
-    for idx in range(len(model.w_layers) - 1, -1, -1):
+    for idx in reversed(range(len(model.w_layers))):
         d_z = d_h * (state.pre_activations[idx] > 0)
-        below = state.activations[idx - 1] if idx > 0 else state.h0
-        propagated = a_norm @ below
-        d_layers.append(propagated.T @ d_z)
+        d_layers.append(state.propagated[idx].T @ d_z)
         d_h = a_norm.T @ d_z @ model.w_layers[idx].T
     d_proj = x.T @ d_h
     return loss, GcnGrads(
@@ -341,58 +350,62 @@ class TrainConfig:
 LabeledPair = tuple[str, str, int]
 
 
-def _assemble_batch(
-    store: EmbeddingStore,
-    rows: Sequence[LabeledPair],
-    node_order: Sequence[str],
-    config: TrainConfig,
-) -> list[tuple[int, int, int]]:
-    """Map labeled name pairs to index triples, sampling negatives from
-    the unlabeled ordered pairs when the rows carry none."""
+def _pair_rows(
+    pairs: Sequence[tuple[str, str]], node_order: Sequence[str]
+) -> np.ndarray:
+    """(n, 2) rows of the pairs' endpoints in node_order, matched by
+    normalized name."""
     index = {name: i for i, name in enumerate(node_order)}
-    batch: list[tuple[int, int, int]] = []
-    for a, b, label in rows:
+
+    def row(name: str) -> int:
+        try:
+            return index[normalize_name(name)]
+        except KeyError:
+            raise MissingEmbedding(f"no embedding for {name!r}") from None
+
+    return np.array([(row(a), row(b)) for a, b in pairs], dtype=np.intp).reshape(-1, 2)
+
+
+def _assemble_batch(
+    rows: Sequence[LabeledPair], node_order: Sequence[str], config: TrainConfig
+) -> np.ndarray:
+    """Map labeled name pairs to an (n, 3) array of (i, j, y) triples,
+    sampling negatives from the unlabeled ordered pairs when the rows
+    carry none."""
+    labels = [label for _, _, label in rows]
+    for label in labels:
         if label not in (0, 1):
             raise LinkPredError(f"labels must be 0 or 1, got {label!r}")
-        ka, kb = normalize_name(a), normalize_name(b)
-        if ka not in index:
-            raise MissingEmbedding(f"no embedding for {a!r}")
-        if kb not in index:
-            raise MissingEmbedding(f"no embedding for {b!r}")
-        batch.append((index[ka], index[kb], label))
-    positives = [(i, j) for i, j, y in batch if y == 1]
-    negatives = [(i, j) for i, j, y in batch if y == 0]
-    if not positives:
+    ends = _pair_rows([(a, b) for a, b, _ in rows], node_order)
+    batch = np.column_stack([ends, np.array(labels, dtype=np.intp)])
+    if 1 not in labels:
         raise DegenerateLabels("no positive pairs in the training rows")
-    if not negatives and config.negative_ratio > 0:
-        taken = set(positives)
-        pool = [
-            (i, j)
-            for i in range(len(node_order))
-            for j in range(len(node_order))
-            if i != j and (i, j) not in taken
-        ]
-        wanted = max(1, round(config.negative_ratio * len(positives)))
-        if len(pool) < wanted:
-            raise DegenerateLabels(
-                f"cannot sample {wanted} negatives from {len(pool)} free pairs"
-            )
-        rng = random.Random(config.seed)
-        negatives = rng.sample(pool, wanted)
-        batch.extend((i, j, 0) for i, j in negatives)
-    if not negatives:
+    if 0 in labels:
+        return batch
+    if config.negative_ratio == 0:
         raise DegenerateLabels("no negative pairs in the training rows")
-    return batch
+    taken = set(map(tuple, ends.tolist()))
+    pool = [
+        (i, j)
+        for i in range(len(node_order))
+        for j in range(len(node_order))
+        if i != j and (i, j) not in taken
+    ]
+    wanted = max(1, round(config.negative_ratio * len(rows)))
+    if len(pool) < wanted:
+        raise DegenerateLabels(
+            f"cannot sample {wanted} negatives from {len(pool)} free pairs"
+        )
+    sampled = random.Random(config.seed).sample(pool, wanted)
+    return np.concatenate([batch, np.array([(i, j, 0) for i, j in sampled], dtype=np.intp)])
 
 
 def _message_adjacency(
     rows: Sequence[LabeledPair], node_order: Sequence[str]
 ) -> np.ndarray:
-    index = {name: i for i, name in enumerate(node_order)}
+    ends = _pair_rows([(a, b) for a, b, label in rows if label == 1], node_order)
     a = np.zeros((len(node_order), len(node_order)))
-    for src, dst, label in rows:
-        if label == 1:
-            a[index[normalize_name(src)], index[normalize_name(dst)]] = 1.0
+    a[ends[:, 0], ends[:, 1]] = 1.0
     return a
 
 
@@ -417,30 +430,22 @@ def train_gcn(
     passing sees positive rows only.
     """
     node_order = store.names
-    batch = _assemble_batch(store, rows, node_order, config)
+    batch = _assemble_batch(rows, node_order, config)
     a_norm = normalize_adjacency(_message_adjacency(rows, node_order))
     x = store.matrix(node_order)
     model = GcnModel.init(store.dim, proj_width, layer_widths, config.seed)
-    velocity = GcnGrads(
-        w_proj=np.zeros_like(model.w_proj),
-        w_layers=tuple(np.zeros_like(w) for w in model.w_layers),
-        r=np.zeros_like(model.r),
-    )
+    weights = (model.w_proj, *model.w_layers, model.r)
+    velocities = tuple(np.zeros_like(w) for w in weights)
     losses: list[float] = []
     for _ in range(config.epochs):
         loss, grads = gcn_loss_and_grads(x, a_norm, model, batch)
         losses.append(loss)
-        velocity.w_proj = config.momentum * velocity.w_proj - config.learning_rate * grads.w_proj
-        velocity.w_layers = tuple(
-            config.momentum * v - config.learning_rate * g
-            for v, g in zip(velocity.w_layers, grads.w_layers, strict=True)
-        )
-        velocity.r = config.momentum * velocity.r - config.learning_rate * grads.r
-        model.w_proj = model.w_proj + velocity.w_proj
-        model.w_layers = tuple(
-            w + v for w, v in zip(model.w_layers, velocity.w_layers, strict=True)
-        )
-        model.r = model.r + velocity.r
+        for w, v, g in zip(
+            weights, velocities, (grads.w_proj, *grads.w_layers, grads.r), strict=True
+        ):
+            v *= config.momentum
+            v -= config.learning_rate * g
+            w += v
     return TrainResult(model=model, node_order=node_order, losses=tuple(losses))
 
 
@@ -456,19 +461,10 @@ def predict_gcn(
     the adjacency matches.
     """
     node_order = store.names
-    index = {name: i for i, name in enumerate(node_order)}
+    ends = _pair_rows(pairs, node_order)
     a_norm = normalize_adjacency(_message_adjacency(message_rows, node_order))
     x_hat = gcn_forward(store.matrix(node_order), a_norm, model).output
-    probabilities = score_all_pairs(x_hat, model)
-    out = np.empty(len(pairs))
-    for k, (a, b) in enumerate(pairs):
-        ka, kb = normalize_name(a), normalize_name(b)
-        if ka not in index:
-            raise MissingEmbedding(f"no embedding for {a!r}")
-        if kb not in index:
-            raise MissingEmbedding(f"no embedding for {b!r}")
-        out[k] = probabilities[index[ka], index[kb]]
-    return out
+    return score_all_pairs(x_hat, model)[ends[:, 0], ends[:, 1]]
 
 
 # -- concatenation classifier ----------------------------------------------------
@@ -504,12 +500,10 @@ class ConcatModel:
             raise CheckpointFormatError(f"{path}: bad weights: {exc}") from exc
 
 
-def _concat_features(
-    store: EmbeddingStore, pairs: Sequence[tuple[str, str]]
-) -> np.ndarray:
-    return np.stack(
-        [np.concatenate([store.vector(a), store.vector(b)]) for a, b in pairs]
-    )
+def _concat_features(store: EmbeddingStore, ends: np.ndarray) -> np.ndarray:
+    """Row k is [e_a; e_b] for the row pair ends[k]: one gather into an
+    (n, 2, dim) array, viewed as (n, 2 * dim) without a copy."""
+    return store.matrix(store.names)[ends].reshape(len(ends), 2 * store.dim)
 
 
 def train_concat(
@@ -518,11 +512,9 @@ def train_concat(
     config: TrainConfig,
 ) -> tuple[ConcatModel, tuple[float, ...]]:
     """Gradient descent from zero weights; returns (model, loss curve)."""
-    node_order = store.names
-    batch = _assemble_batch(store, rows, node_order, config)
-    pairs = [(node_order[i], node_order[j]) for i, j, _ in batch]
-    labels = np.array([y for _, _, y in batch], dtype=np.float64)
-    features = _concat_features(store, pairs)
+    batch = _assemble_batch(rows, store.names, config)
+    labels = batch[:, 2].astype(np.float64)
+    features = _concat_features(store, batch[:, :2])
     weights = np.zeros(features.shape[1])
     bias = 0.0
     v_w = np.zeros_like(weights)
@@ -534,9 +526,10 @@ def train_concat(
         residual = (sigmoid(logits) - labels) / len(labels)
         g_w = features.T @ residual
         g_b = float(residual.sum())
-        v_w = config.momentum * v_w - config.learning_rate * g_w
+        v_w *= config.momentum
+        v_w -= config.learning_rate * g_w
         v_b = config.momentum * v_b - config.learning_rate * g_b
-        weights = weights + v_w
+        weights += v_w
         bias = bias + v_b
     return ConcatModel(weights=weights, bias=bias), tuple(losses)
 
@@ -544,7 +537,7 @@ def train_concat(
 def predict_concat(
     model: ConcatModel, store: EmbeddingStore, pairs: Sequence[tuple[str, str]]
 ) -> np.ndarray:
-    features = _concat_features(store, pairs)
+    features = _concat_features(store, _pair_rows(pairs, store.names))
     if features.shape[1] != model.weights.size:
         raise DimensionMismatch(
             f"model expects {model.weights.size} features, pairs give "

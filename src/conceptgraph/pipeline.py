@@ -408,9 +408,19 @@ def run_items(
     neighbor_hops: int = FALLBACK_HOPS,
     task5_hops: int = 1,
 ) -> list[tuple[str, PipelineTrace]]:
-    """Run a batch; results keep item order regardless of concurrency."""
+    """Run a batch; results keep item order regardless of concurrency.
+
+    Prompts and answers list concept names separated by ";", so a graph
+    with a name holding one is refused before the first oracle call.
+    """
     if concurrency < 1:
         raise PipelineError(f"concurrency must be >= 1, got {concurrency}")
+    for concept in graph.concepts:
+        if ";" in concept.name:
+            raise PipelineError(
+                f"concept {concept.id!r} ({concept.name!r}) holds ';', "
+                "which separates concept names in QA prompts and answers"
+            )
 
     def one(item: TutorQaItem) -> tuple[str, PipelineTrace]:
         return run_task(

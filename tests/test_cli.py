@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conceptgraph import cli
+from conceptgraph import cli, llm
 from conceptgraph.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -508,6 +508,26 @@ def test_qa_missing_tutorqa_exits_2(qa_workspace):
     argv = qa_argv(qa_workspace, "out")
     argv[6] = str(qa_workspace / "absent.jsonl")
     assert main(argv) == EXIT_DATA
+
+
+def test_qa_refuses_a_concept_name_holding_a_semicolon(qa_workspace, monkeypatch, capsys):
+    calls = []
+    for oracle in (llm.TemplateCommandOracle, llm.GroundedAnswerOracle):
+        monkeypatch.setattr(oracle, "__call__", lambda self, prompt: calls.append(prompt))
+    write_concepts(qa_workspace / "concepts.tsv", [*NAMES[:5], "Tokens; Types"])
+    assert main(qa_argv(qa_workspace, "out")) == EXIT_DATA
+    assert "'c5'" in capsys.readouterr().err
+    assert calls == []
+    assert not (qa_workspace / "out" / "answers.jsonl").exists()
+
+
+def test_concept_name_spanning_two_lines_exits_2(workspace, capsys):
+    (workspace / "concepts.tsv").write_text(
+        'c1\t"Fed" policy\nc2\tU.S. "Fed"\nc3\t"multi\nline"\n', encoding="utf-8"
+    )
+    write_edges(workspace / "hidden.tsv", [(1, 2)])
+    assert main(recover_argv(workspace, "out")) == EXIT_DATA
+    assert "expected 2 columns" in capsys.readouterr().err
 
 
 # -- train --------------------------------------------------------------------------

@@ -387,3 +387,37 @@ def test_blank_lines_ignored_in_tsv(tmp_path):
     path = tmp_path / "concepts.tsv"
     path.write_text("c1\tone\n\nc2\ttwo\n")
     assert [c.id for c in load_concepts(path)] == ["c1", "c2"]
+
+
+def test_tsv_fields_are_read_verbatim_and_a_field_cannot_span_lines(tmp_path):
+    path = tmp_path / "concepts.tsv"
+    path.write_text('c1\t"Fed" policy\nc2\tU.S. "Fed"\nc3\t"multi\nline"\n', encoding="utf-8")
+    with pytest.raises(TsvFormatError, match=r":4: expected 2 columns, got 1"):
+        load_concepts(path)
+    path.write_text('c1\t"Fed" policy\nc2\tU.S. "Fed"\n', encoding="utf-8")
+    assert [c.name for c in load_concepts(path)] == ['"Fed" policy', 'U.S. "Fed"']
+    edges = tmp_path / "edges.tsv"
+    edges.write_text('"a\tb"\t1\n', encoding="utf-8")
+    assert load_edge_rows(edges) == [EdgeRow('"a', 'b"', 1)]
+
+
+def test_tsv_round_trips_quotes_byte_identically(tmp_path):
+    path = tmp_path / "concepts.tsv"
+    text = 'c1\tU.S. "Fed"\nc2\t"Fed" policy\n'
+    path.write_text(text, encoding="utf-8")
+    copy = tmp_path / "copy.tsv"
+    save_concepts(load_concepts(path), copy)
+    assert copy.read_bytes() == path.read_bytes()
+    save_edge_rows(load_edge_rows(path), copy)
+    assert copy.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\rb"])
+def test_tsv_writers_refuse_tabs_and_line_breaks(tmp_path, bad):
+    path = tmp_path / "out.tsv"
+    path.write_text("before\n")
+    with pytest.raises(TsvFormatError, match="tab or a line break"):
+        save_concepts([Concept("c1", "fine"), Concept("c2", bad)], path)
+    with pytest.raises(TsvFormatError, match="tab or a line break"):
+        save_edge_rows([EdgeRow("a", bad, 1)], path)
+    assert path.read_text() == "before\n"

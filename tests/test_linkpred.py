@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from conceptgraph.linkpred import (
     train_concat,
     train_gcn,
 )
+from conceptgraph.textnorm import normalize_name
 from synth import (
     FD_EPSILON,
     SEPARABLE_LR,
@@ -472,3 +474,233 @@ def test_momentum_changes_the_trajectory():
         store, rows, TrainConfig(learning_rate=1.0, epochs=20, momentum=0.9)
     )
     assert plain != heavy
+
+
+def test_predict_on_no_pairs_returns_an_empty_array():
+    store, rows = concat_task()
+    model, _ = train_concat(store, rows, TrainConfig(learning_rate=1.0, epochs=2))
+    got = predict_concat(model, store, [])
+    assert got.shape == (0,) and got.dtype == np.float64
+    gcn = train_gcn(store, rows, TrainConfig(epochs=2), proj_width=4, layer_widths=(4,))
+    assert predict_gcn(gcn.model, store, rows, []).shape == (0,)
+
+
+def test_predict_gcn_names_an_unknown_message_row():
+    store, rows = concat_task()
+    result = train_gcn(store, rows, TrainConfig(epochs=2), proj_width=4, layer_widths=(4,))
+    with pytest.raises(MissingEmbedding, match="mystery"):
+        predict_gcn(result.model, store, rows + [("c 0", "mystery", 1)], [("c 0", "c 5")])
+
+
+# -- reference training loops, bit for bit -----------------------------------------------
+#
+# The references allocate fresh arrays for every update, recompute A_hat H in
+# the backward pass and stack one concatenated copy per pair. The module does
+# the same float operations in the same order without those copies, so its
+# losses and weights must match the references to the bit.
+
+
+def reference_batch(store, rows, node_order, config):
+    index = {name: i for i, name in enumerate(node_order)}
+    batch = [(index[normalize_name(a)], index[normalize_name(b)], y) for a, b, y in rows]
+    positives = [(i, j) for i, j, y in batch if y == 1]
+    if not any(y == 0 for _, _, y in batch) and config.negative_ratio > 0:
+        taken = set(positives)
+        pool = [
+            (i, j)
+            for i in range(len(node_order))
+            for j in range(len(node_order))
+            if i != j and (i, j) not in taken
+        ]
+        wanted = max(1, round(config.negative_ratio * len(positives)))
+        batch.extend((i, j, 0) for i, j in random.Random(config.seed).sample(pool, wanted))
+    return batch
+
+
+def reference_loss_and_grads(x, a_norm, model, batch):
+    h = x @ model.w_proj
+    pre, act = [], []
+    state = h
+    for w in model.w_layers:
+        z = a_norm @ state @ w
+        state = np.maximum(z, 0.0)
+        pre.append(z)
+        act.append(state)
+    x_hat = act[-1] if act else h
+    scores = x_hat @ model.r @ x_hat.T
+    rows = np.array([b[0] for b in batch])
+    cols = np.array([b[1] for b in batch])
+    labels = np.array([b[2] for b in batch], dtype=np.float64)
+    logits = scores[rows, cols]
+    loss = bce_from_logits(logits, labels)
+    g = np.zeros_like(scores)
+    np.add.at(g, (rows, cols), (sigmoid(logits) - labels) / len(batch))
+    d_r = x_hat.T @ g @ x_hat
+    d_h = g @ x_hat @ model.r.T + g.T @ x_hat @ model.r
+    d_layers = []
+    for idx in range(len(model.w_layers) - 1, -1, -1):
+        d_z = d_h * (pre[idx] > 0)
+        below = act[idx - 1] if idx > 0 else h
+        propagated = a_norm @ below
+        d_layers.append(propagated.T @ d_z)
+        d_h = a_norm.T @ d_z @ model.w_layers[idx].T
+    return loss, (x.T @ d_h, tuple(reversed(d_layers)), d_r)
+
+
+def reference_train_gcn(store, rows, config, proj_width, layer_widths):
+    node_order = store.names
+    batch = reference_batch(store, rows, node_order, config)
+    index = {name: i for i, name in enumerate(node_order)}
+    a = np.zeros((len(node_order), len(node_order)))
+    for src, dst, label in rows:
+        if label == 1:
+            a[index[normalize_name(src)], index[normalize_name(dst)]] = 1.0
+    a_norm = normalize_adjacency(a)
+    x = store.matrix(node_order)
+    model = GcnModel.init(store.dim, proj_width, layer_widths, config.seed)
+    v_proj = np.zeros_like(model.w_proj)
+    v_layers = tuple(np.zeros_like(w) for w in model.w_layers)
+    v_r = np.zeros_like(model.r)
+    losses = []
+    for _ in range(config.epochs):
+        loss, (g_proj, g_layers, g_r) = reference_loss_and_grads(x, a_norm, model, batch)
+        losses.append(loss)
+        v_proj = config.momentum * v_proj - config.learning_rate * g_proj
+        v_layers = tuple(
+            config.momentum * v - config.learning_rate * g
+            for v, g in zip(v_layers, g_layers, strict=True)
+        )
+        v_r = config.momentum * v_r - config.learning_rate * g_r
+        model.w_proj = model.w_proj + v_proj
+        model.w_layers = tuple(w + v for w, v in zip(model.w_layers, v_layers, strict=True))
+        model.r = model.r + v_r
+    return model, losses
+
+
+def reference_concat_features(store, pairs):
+    return np.stack(
+        [np.concatenate([store.vector(a), store.vector(b)]) for a, b in pairs]
+    )
+
+
+def reference_train_concat(store, rows, config):
+    node_order = store.names
+    batch = reference_batch(store, rows, node_order, config)
+    pairs = [(node_order[i], node_order[j]) for i, j, _ in batch]
+    labels = np.array([y for _, _, y in batch], dtype=np.float64)
+    features = reference_concat_features(store, pairs)
+    weights = np.zeros(features.shape[1])
+    bias = 0.0
+    v_w = np.zeros_like(weights)
+    v_b = 0.0
+    losses = []
+    for _ in range(config.epochs):
+        logits = features @ weights + bias
+        losses.append(bce_from_logits(logits, labels))
+        residual = (sigmoid(logits) - labels) / len(labels)
+        g_w = features.T @ residual
+        g_b = float(residual.sum())
+        v_w = config.momentum * v_w - config.learning_rate * g_w
+        v_b = config.momentum * v_b - config.learning_rate * g_b
+        weights = weights + v_w
+        bias = bias + v_b
+    return weights, bias, losses
+
+
+def random_task(scale: float = 1.0, nodes: int = 24, dim: int = 16, pairs: int = 60):
+    rng = np.random.default_rng(3)
+    store = EmbeddingStore(
+        {f"node {k:02d}": (scale * rng.normal(size=dim)).tolist() for k in range(nodes)}
+    )
+    names = [f"Node  {k:02d}" for k in range(nodes)]
+    ordered = [(a, b) for a in names for b in names if a != b]
+    picked = [ordered[k] for k in rng.permutation(len(ordered))[: 2 * pairs]]
+    rows = [(a, b, 1) for a, b in picked[:pairs]] + [(a, b, 0) for a, b in picked[pairs:]]
+    return store, rows
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("negatives", ["given", "sampled"])
+@pytest.mark.parametrize("layer_widths", [(), (8,), (8, 4)])
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+def test_train_gcn_matches_the_reference_bit_for_bit(momentum, layer_widths, negatives):
+    # Each layer shrinks the signal, so deeper models get larger inputs: the
+    # updates then stay large enough against the weights that a change in
+    # any float operation reaches the bits compared here.
+    store, rows = random_task(scale=3.0 * 30.0 ** len(layer_widths))
+    if negatives == "sampled":
+        rows = [row for row in rows if row[2] == 1]
+    config = TrainConfig(learning_rate=0.01, epochs=40, seed=7, momentum=momentum)
+    want_model, want_losses = reference_train_gcn(store, rows, config, 8, layer_widths)
+    assert np.all(np.isfinite(want_losses)) and want_losses[-1] != want_losses[0]
+    got = train_gcn(store, rows, config, proj_width=8, layer_widths=layer_widths)
+    assert bits(got.losses) == bits(want_losses)
+    assert got.model.w_proj.tobytes() == want_model.w_proj.tobytes()
+    assert got.model.r.tobytes() == want_model.r.tobytes()
+    assert len(got.model.w_layers) == len(layer_widths)
+    for w, want in zip(got.model.w_layers, want_model.w_layers, strict=True):
+        assert w.tobytes() == want.tobytes()
+
+
+def test_gcn_loss_and_grads_takes_an_index_array_or_triples():
+    x, a_norm, model, batch = gradient_check_instance()
+    loss, grads = gcn_loss_and_grads(x, a_norm, model, batch)
+    want_loss, (g_proj, g_layers, g_r) = reference_loss_and_grads(x, a_norm, model, batch)
+    array_loss, array_grads = gcn_loss_and_grads(x, a_norm, model, np.array(batch))
+    assert bits(loss) == bits(want_loss) == bits(array_loss)
+    for got in (grads, array_grads):
+        assert got.w_proj.tobytes() == g_proj.tobytes()
+        assert got.r.tobytes() == g_r.tobytes()
+        for g, want in zip(got.w_layers, g_layers, strict=True):
+            assert g.tobytes() == want.tobytes()
+    with pytest.raises(DegenerateLabels):
+        gcn_loss_and_grads(x, a_norm, model, np.empty((0, 3), dtype=np.int64))
+
+
+@pytest.mark.parametrize("negatives", ["given", "sampled"])
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+def test_train_concat_matches_the_reference_bit_for_bit(momentum, negatives):
+    store, rows = random_task()
+    if negatives == "sampled":
+        rows = [row for row in rows if row[2] == 1]
+    config = TrainConfig(learning_rate=0.5, epochs=25, seed=7, momentum=momentum)
+    want_weights, want_bias, want_losses = reference_train_concat(store, rows, config)
+    model, losses = train_concat(store, rows, config)
+    assert bits(losses) == bits(want_losses)
+    assert model.weights.tobytes() == want_weights.tobytes()
+    assert bits(model.bias) == bits(want_bias)
+
+    pairs = [(b, a) for a, b, _ in rows]
+    want = sigmoid(reference_concat_features(store, pairs) @ model.weights + model.bias)
+    assert predict_concat(model, store, pairs).tobytes() == want.tobytes()
+    with pytest.raises(MissingEmbedding, match="mystery"):
+        predict_concat(model, store, pairs[:3] + [("node 00", "mystery")])
+
+
+def _peak_bytes(build) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_concat_features_hold_one_copy_of_the_pair_matrix():
+    rng = np.random.default_rng(0)
+    names = [f"concept {k}" for k in range(50)]
+    store = EmbeddingStore({name: rng.normal(size=256).tolist() for name in names})
+    pairs = [(names[k % 50], names[(7 * k + 1) % 50]) for k in range(2000)]
+    model = ConcatModel(weights=np.zeros(2 * store.dim), bias=0.0)
+    feature_bytes = len(pairs) * 2 * store.dim * 8
+
+    old = _peak_bytes(lambda: reference_concat_features(store, pairs))
+    assert old > 1.75 * feature_bytes  # the measurement can tell one copy from two
+    assert _peak_bytes(lambda: predict_concat(model, store, pairs)) < 1.25 * feature_bytes
+    rows = [(a, b, k % 2) for k, (a, b) in enumerate(pairs)]
+    config = TrainConfig(epochs=2)
+    assert _peak_bytes(lambda: train_concat(store, rows, config)) < 1.25 * feature_bytes
