@@ -33,8 +33,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import statistics
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -136,6 +138,35 @@ def _positive_int(value: str) -> int:
     return number
 
 
+def _float_flag(wanted: str, check: Callable[[float], bool]) -> Callable[[str], float]:
+    """A flag type for finite numbers that pass check; wanted names the range."""
+
+    def parse(value: str) -> float:
+        try:
+            number = float(value)
+        except ValueError:
+            number = math.nan
+        if not (math.isfinite(number) and check(number)):
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {value!r}")
+        return number
+
+    return parse
+
+
+_positive_float = _float_flag("a finite number > 0", lambda x: x > 0)
+_non_negative_float = _float_flag("a finite number >= 0", lambda x: x >= 0)
+_momentum = _float_flag("a finite number in [0, 1)", lambda x: 0 <= x < 1)
+_mu = _float_flag("a finite number in (0, 1]", lambda x: 0 < x <= 1)
+
+
+def _layer_widths(value: str) -> str:
+    """Comma-separated positive integers, kept as text so a manifest
+    replays them."""
+    for part in value.split(","):
+        _positive_int(part)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="conceptgraph", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=__version__)
@@ -188,13 +219,15 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--embeddings", required=True, help="embedding JSONL (name + vector)")
     tr.add_argument("--edges", required=True, help="labeled pair TSV (names, optional 0/1)")
     tr.add_argument("--model", default="gcn", choices=["gcn", "concat"])
-    tr.add_argument("--learning-rate", type=float, default=0.1)
+    tr.add_argument("--learning-rate", type=_positive_float, default=0.1)
     tr.add_argument("--epochs", type=_positive_int, default=200)
-    tr.add_argument("--momentum", type=float, default=0.0)
-    tr.add_argument("--negative-ratio", type=float, default=1.0)
+    tr.add_argument("--momentum", type=_momentum, default=0.0)
+    tr.add_argument("--negative-ratio", type=_non_negative_float, default=1.0)
     tr.add_argument("--threshold", type=float, default=0.5)
     tr.add_argument("--proj-width", type=_positive_int, default=256)
-    tr.add_argument("--layer-widths", default="128", help="comma-separated widths")
+    tr.add_argument(
+        "--layer-widths", type=_layer_widths, default="128", help="comma-separated widths"
+    )
     tr.set_defaults(func=cmd_train)
 
     ev = commands.add_parser(
@@ -203,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--predictions", required=True, help="one answer per line")
     ev.add_argument("--gold", required=True, help="one answer per line, aligned")
     ev.add_argument("--mode", default="binary", choices=["binary", "list"])
-    ev.add_argument("--mu", type=float, default=metrics.DEFAULT_THRESHOLD)
+    ev.add_argument("--mu", type=_mu, default=metrics.DEFAULT_THRESHOLD)
     ev.add_argument("--embedder", default="exact", choices=["exact", "hash"])
     ev.add_argument("--one-to-one", type=_on_off, default="off")
     ev.add_argument("--dataset", default=None, help="metadata echoed into the report")
@@ -219,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     qa.add_argument("--command-oracle", default="template", choices=["template", "garbage", "live"])
     qa.add_argument("--answer-oracle", default="grounded", choices=["grounded", "live"])
     qa.add_argument("--trace", type=_on_off, default="on")
-    qa.add_argument("--mu", type=float, default=metrics.DEFAULT_THRESHOLD)
+    qa.add_argument("--mu", type=_mu, default=metrics.DEFAULT_THRESHOLD)
     qa.add_argument("--embedder", default="exact", choices=["exact", "hash"])
     qa.add_argument("--concurrency", type=_positive_int, default=1)
     qa.add_argument("--neighbor-hops", type=_positive_int, default=pipeline.FALLBACK_HOPS)
@@ -527,10 +560,7 @@ def cmd_train(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
         momentum=args.momentum,
     )
     if args.model == "gcn":
-        try:
-            widths = tuple(int(part) for part in args.layer_widths.split(","))
-        except ValueError:
-            raise ConfigError(f"--layer-widths must be integers, got {args.layer_widths!r}") from None
+        widths = tuple(int(part) for part in args.layer_widths.split(","))
         result = linkpred.train_gcn(
             store, rows, config, proj_width=args.proj_width, layer_widths=widths
         )

@@ -137,6 +137,10 @@ class ConceptGraph:
         return {c.id: c for c in self.concepts}
 
     @cached_property
+    def _names(self) -> dict[str, str]:
+        return {c.id: c.name for c in self.concepts}
+
+    @cached_property
     def _by_name(self) -> dict[str, Concept]:
         return {normalize_name(c.name): c for c in self.concepts}
 
@@ -166,7 +170,10 @@ class ConceptGraph:
         return concept_id in self._by_id
 
     def path_names(self, path: Sequence[str]) -> tuple[str, ...]:
-        return tuple(self.concept(cid).name for cid in path)
+        try:
+            return tuple(map(self._names.__getitem__, path))
+        except KeyError as exc:
+            raise UnknownConcept(f"no concept with id {exc.args[0]!r}") from None
 
     # -- adjacency ------------------------------------------------------
 
@@ -290,7 +297,7 @@ class ConceptGraph:
             )
         if direction == "in":
             raw = self._simple_paths_from(concept_id, self.predecessors, max_hops)
-            return PathResult(tuple(tuple(reversed(p)) for p in raw))
+            return PathResult(tuple(p[::-1] for p in raw))
         raise GraphError(f"direction must be 'in' or 'out', got {direction!r}")
 
     def prerequisite_paths(self, target_id: str, max_depth: int) -> PathResult:

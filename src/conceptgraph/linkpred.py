@@ -14,8 +14,12 @@ the loss, never the adjacency.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
+import math
 import random
+from collections import abc
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -337,12 +341,15 @@ class TrainConfig:
     momentum: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise LinkPredError(f"learning_rate must be positive, got {self.learning_rate}")
+        # each float check is written so that NaN fails it
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise LinkPredError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}"
+            )
         if self.epochs < 1:
             raise LinkPredError(f"epochs must be positive, got {self.epochs}")
-        if self.negative_ratio < 0:
-            raise LinkPredError("negative_ratio must be non-negative")
+        if not self.negative_ratio >= 0:
+            raise LinkPredError(f"negative_ratio must be non-negative, got {self.negative_ratio}")
         if not 0.0 <= self.momentum < 1.0:
             raise LinkPredError(f"momentum must be in [0, 1), got {self.momentum}")
 
@@ -366,6 +373,40 @@ def _pair_rows(
     return np.array([(row(a), row(b)) for a, b in pairs], dtype=np.intp).reshape(-1, 2)
 
 
+class _FreePairs(abc.Sequence):
+    """The ordered pairs (i, j), i != j, of n nodes that are not taken, in
+    row-major order, without listing them.
+
+    random.Random.sample draws by length and index alone, so it picks the
+    same pairs from this as from the full list.
+    """
+
+    def __init__(self, n: int, taken: set[tuple[int, int]]):
+        skips: list[list[int]] = [[i] for i in range(n)]
+        for i, j in taken:
+            if i != j:
+                skips[i].append(j)
+        self._skips = [sorted(row) for row in skips]
+        # self._starts[i] is the index of row i's first free pair
+        self._starts = list(
+            itertools.accumulate((n - len(row) for row in self._skips), initial=0)
+        )
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, k: int) -> tuple[int, int]:
+        if not 0 <= k < len(self):
+            raise IndexError(k)
+        i = bisect.bisect_right(self._starts, k) - 1
+        j = k - self._starts[i]
+        for skipped in self._skips[i]:
+            if skipped > j:
+                break
+            j += 1
+        return i, j
+
+
 def _assemble_batch(
     rows: Sequence[LabeledPair], node_order: Sequence[str], config: TrainConfig
 ) -> np.ndarray:
@@ -384,19 +425,15 @@ def _assemble_batch(
         return batch
     if config.negative_ratio == 0:
         raise DegenerateLabels("no negative pairs in the training rows")
-    taken = set(map(tuple, ends.tolist()))
-    pool = [
-        (i, j)
-        for i in range(len(node_order))
-        for j in range(len(node_order))
-        if i != j and (i, j) not in taken
-    ]
-    wanted = max(1, round(config.negative_ratio * len(rows)))
-    if len(pool) < wanted:
+    pool = _FreePairs(len(node_order), set(map(tuple, ends.tolist())))
+    wanted = config.negative_ratio * len(rows)
+    # capped before rounding, since round() overflows on an infinite count
+    count = max(1, round(min(wanted, len(pool) + 1)))
+    if count > len(pool):
         raise DegenerateLabels(
-            f"cannot sample {wanted} negatives from {len(pool)} free pairs"
+            f"cannot sample {wanted:g} negatives from {len(pool)} free pairs"
         )
-    sampled = random.Random(config.seed).sample(pool, wanted)
+    sampled = random.Random(config.seed).sample(pool, count)
     return np.concatenate([batch, np.array([(i, j, 0) for i, j in sampled], dtype=np.intp)])
 
 

@@ -280,8 +280,8 @@ def similarity_f1(
     relevant concepts; pass one_to_one=True to force a bipartite
     assignment instead.
     """
-    pred_unique = ordered_unique(list(predicted))
-    rel_unique = ordered_unique(list(relevant))
+    pred_unique = ordered_unique(predicted)
+    rel_unique = ordered_unique(relevant)
     if not pred_unique:
         raise EmptyList("predicted list is empty")
     if not rel_unique:

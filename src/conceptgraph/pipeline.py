@@ -440,9 +440,10 @@ def run_items(
 
 def parse_concept_list(answer: str) -> list[str]:
     """Split a concept-list answer on semicolons, keeping order."""
-    return ordered_unique(
-        [part.strip() for part in answer.split(";") if part.strip()]
-    )
+    # strip each distinct part once; ordered_unique keeps first occurrences,
+    # so dropping exact repeats first changes nothing
+    parts = (part.strip() for part in dict.fromkeys(answer.split(";")))
+    return ordered_unique(part for part in parts if part)
 
 
 def oracle_from_trace(item: TutorQaItem, trace: PipelineTrace) -> Oracle:
@@ -492,16 +493,13 @@ def save_tutorqa(items: list[TutorQaItem], path: str | Path) -> None:
 
 
 def _outcome_to_dict(outcome: QueryOutcome) -> dict[str, object]:
-    payload: object
-    if isinstance(outcome.payload, bool):
-        payload = outcome.payload
-    else:
-        payload = [list(path) for path in outcome.payload.paths]
+    # json writes the tuples as arrays, so they pass through uncopied
+    payload = outcome.payload
     return {
         "kind": outcome.kind,
-        "payload": payload,
-        "concept_ids": list(outcome.concept_ids),
-        "named_paths": [list(path) for path in outcome.named_paths],
+        "payload": payload if isinstance(payload, bool) else payload.paths,
+        "concept_ids": outcome.concept_ids,
+        "named_paths": outcome.named_paths,
     }
 
 

@@ -9,7 +9,7 @@ with longest-match-wins, non-overlapping semantics.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -83,11 +83,17 @@ def mentions_concept(text: str, name: str) -> bool:
     )
 
 
-def ordered_unique(items: Sequence[str]) -> list[str]:
-    """Deduplicate by normalized name, keeping first occurrences in order."""
+def ordered_unique(items: Iterable[str]) -> list[str]:
+    """Deduplicate by normalized name, keeping first occurrences in order.
+
+    Accepts any iterable of strings and normalizes each distinct string
+    once: the first occurrence of a normalized key is always the first
+    occurrence of some exact string, so skipping exact repeats first
+    keeps the same items.
+    """
     seen: set[str] = set()
     out: list[str] = []
-    for item in items:
+    for item in dict.fromkeys(items):
         key = normalize_name(item)
         if key not in seen:
             seen.add(key)

@@ -521,6 +521,38 @@ def test_qa_refuses_a_concept_name_holding_a_semicolon(qa_workspace, monkeypatch
     assert not (qa_workspace / "out" / "answers.jsonl").exists()
 
 
+@pytest.mark.parametrize("mu", ["0", "-1", "1.5", "nan", "inf", "-inf", "high"])
+def test_qa_checks_mu_before_any_oracle_call(qa_workspace, monkeypatch, capsys, mu):
+    calls = []
+    for oracle in (llm.TemplateCommandOracle, llm.GroundedAnswerOracle):
+        monkeypatch.setattr(oracle, "__call__", lambda self, prompt: calls.append(prompt))
+    assert main(qa_argv(qa_workspace, "out", "--mu", mu)) == EXIT_CONFIG
+    assert "--mu" in capsys.readouterr().err
+    assert calls == []
+    assert not (qa_workspace / "out" / "answers.jsonl").exists()
+
+
+@pytest.mark.parametrize("mu", ["0", "nan", "inf", "1.5"])
+def test_eval_checks_mu_at_parse_time(tmp_path, mu):
+    for name in ("pred.txt", "gold.txt"):
+        (tmp_path / name).write_text("Probability\n", encoding="utf-8")
+    argv = [
+        "eval",
+        "--predictions",
+        str(tmp_path / "pred.txt"),
+        "--gold",
+        str(tmp_path / "gold.txt"),
+        "--mode",
+        "list",
+        "--mu",
+        mu,
+        "--output-dir",
+        str(tmp_path / "out"),
+    ]
+    assert main(argv) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
 def test_concept_name_spanning_two_lines_exits_2(workspace, capsys):
     (workspace / "concepts.tsv").write_text(
         'c1\t"Fed" policy\nc2\tU.S. "Fed"\nc3\t"multi\nline"\n', encoding="utf-8"
@@ -612,6 +644,47 @@ def test_train_degenerate_labels_exit_2(train_workspace):
         f"{NAMES[0]}\t{NAMES[1]}\t0\n", encoding="utf-8"
     )
     assert main(train_argv(train_workspace, "out")) == EXIT_DATA
+
+
+TRAIN_FLAGS = [
+    "--learning-rate",
+    "--momentum",
+    "--negative-ratio",
+    "--layer-widths",
+    "--epochs",
+    "--proj-width",
+]
+# the pairs file carries negatives, so a negative ratio of 0 is a valid choice
+VALID_AT_ZERO = {"--momentum", "--negative-ratio"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize("flag", TRAIN_FLAGS)
+def test_train_numeric_flags_are_checked_at_parse_time(train_workspace, capsys, flag, value):
+    argv = train_argv(train_workspace, "out", "--proj-width", "4", "--layer-widths", "4")
+    argv[argv.index("--epochs") + 1] = "2"
+    code = main([*argv, flag, value])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if value == "0" and flag in VALID_AT_ZERO:
+        assert code == EXIT_OK
+        for path in (train_workspace / "out").iterdir():
+            text = path.read_text(encoding="utf-8")
+            assert "NaN" not in text and "Infinity" not in text, path.name
+    else:
+        assert code == EXIT_CONFIG, err
+        assert flag in err
+        assert not (train_workspace / "out" / "train-report.json").exists()
+
+
+@pytest.mark.parametrize("ratio", ["1e308", "1e6"])
+def test_train_negative_ratio_beyond_the_free_pairs_exits_2(train_workspace, capsys, ratio):
+    (train_workspace / "pairs.tsv").write_text(
+        "".join(f"{NAMES[a]}\t{NAMES[b]}\n" for a, b in EDGES), encoding="utf-8"
+    )
+    argv = train_argv(train_workspace, "out", "--negative-ratio", ratio)
+    assert main(argv) == EXIT_DATA
+    assert "free pairs" in capsys.readouterr().err
 
 
 # -- fixtures -------------------------------------------------------------------------

@@ -105,6 +105,14 @@ def test_concepts_are_sorted_by_id_and_lookup_works():
     assert "c0" in g and "c9" not in g
 
 
+def test_path_names_reads_names_and_names_an_unknown_id():
+    g = make_graph(3, [(0, 1), (1, 2)])
+    assert g.path_names(("c0", "c1", "c2")) == ("node 0", "node 1", "node 2")
+    assert g.path_names(["c2"]) == ("node 2",)
+    with pytest.raises(UnknownConcept, match="'c9'"):
+        g.path_names(("c0", "c9", "c1"))
+
+
 def test_duplicate_ids_rejected():
     concepts = (Concept("x", "one"), Concept("x", "two"))
     with pytest.raises(GraphError, match="duplicate"):

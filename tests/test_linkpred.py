@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conceptgraph import linkpred
 from conceptgraph.linkpred import (
     CheckpointFormatError,
     ConcatModel,
@@ -704,3 +705,70 @@ def test_concat_features_hold_one_copy_of_the_pair_matrix():
     rows = [(a, b, k % 2) for k, (a, b) in enumerate(pairs)]
     config = TrainConfig(epochs=2)
     assert _peak_bytes(lambda: train_concat(store, rows, config)) < 1.25 * feature_bytes
+
+
+# -- negative sampling without the pool list ---------------------------------------------
+
+
+def positives_task(nodes: int, positives: int, seed: int = 5):
+    rng = random.Random(seed)
+    names = [f"node {k:03d}" for k in range(nodes)]
+    store = EmbeddingStore({name: [float(k), 1.0] for k, name in enumerate(names)})
+    picked = rng.sample([(a, b) for a in names for b in names if a != b], positives)
+    return store, [(a, b, 1) for a, b in picked]
+
+
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_sampled_negatives_match_the_pool_list(ratio, seed):
+    store, rows = positives_task(nodes=14, positives=40)
+    rows.append((rows[0][0], rows[0][0], 1))  # a self pair is never in the pool
+    config = TrainConfig(seed=seed, negative_ratio=ratio)
+    got = linkpred._assemble_batch(rows, store.names, config)
+    want = reference_batch(store, rows, store.names, config)
+    assert got.tolist() == [list(triple) for triple in want]
+
+
+def test_free_pairs_index_the_pool_list_in_order():
+    rng = random.Random(2)
+    n = 9
+    taken = {(rng.randrange(n), rng.randrange(n)) for _ in range(30)}
+    taken |= {(4, j) for j in range(n)}  # one row with no free pair
+    want = [(i, j) for i in range(n) for j in range(n) if i != j and (i, j) not in taken]
+    pool = linkpred._FreePairs(n, taken)
+    assert len(pool) == len(want)
+    assert list(pool) == want
+    with pytest.raises(IndexError):
+        pool[len(want)]
+    with pytest.raises(IndexError):
+        pool[-1]
+
+
+def test_negative_sampling_keeps_no_list_of_the_pool():
+    # the benchmark's size: 322 concepts, 1,500 positives, 102k free pairs
+    store, rows = positives_task(nodes=322, positives=1500)
+    config = TrainConfig(seed=1)
+    old = _peak_bytes(lambda: reference_batch(store, rows, store.names, config))
+    assert old > 4_000_000  # the measurement sees the pool list
+    assert _peak_bytes(lambda: linkpred._assemble_batch(rows, store.names, config)) < 1_000_000
+
+
+@pytest.mark.parametrize("ratio", [math.inf, 1e308, 1e6])
+def test_too_many_wanted_negatives_are_degenerate_labels(ratio):
+    store, rows = positives_task(nodes=12, positives=40)
+    with pytest.raises(DegenerateLabels, match="free pairs"):
+        linkpred._assemble_batch(rows, store.names, TrainConfig(negative_ratio=ratio))
+
+
+@pytest.mark.parametrize(
+    "field", ["learning_rate", "negative_ratio", "momentum"]
+)
+def test_train_config_rejects_nan(field):
+    with pytest.raises(LinkPredError):
+        TrainConfig(**{field: math.nan})
+
+
+@pytest.mark.parametrize("rate", [math.inf, -math.inf])
+def test_train_config_rejects_an_infinite_learning_rate(rate):
+    with pytest.raises(LinkPredError):
+        TrainConfig(learning_rate=rate)

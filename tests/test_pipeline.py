@@ -6,6 +6,7 @@ batch answers are verified against direct graph reachability.
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -40,10 +41,11 @@ from conceptgraph.pipeline import (
     run_task_5,
     save_traces,
     save_tutorqa,
+    trace_to_dict,
 )
 from conceptgraph.query import Neighbors, Reachable, execute, parse_query, render_query
 from conceptgraph.recovery import RETRY_SUFFIX, UnparseableVerdict
-from conceptgraph.textnorm import VocabularyMatcher
+from conceptgraph.textnorm import VocabularyMatcher, normalize_name, ordered_unique
 
 NAMES = [
     "Probability",
@@ -570,3 +572,136 @@ def test_run_task_renders_each_grounding_prompt_once(graph, monkeypatch):
     for item, (answer, trace) in zip(items, results):
         assert trace.grounding_prompt == build_grounding_prompt(item.question, trace.outcome)
         assert answer == ground_and_answer(item.question, trace.outcome, GroundedAnswerOracle())
+
+
+# -- per-node work against per-item references ---------------------------------------
+#
+# ordered_unique and parse_concept_list normalize and strip each distinct
+# string once, path_names reads one id -> name table, and _outcome_to_dict
+# hands tuples to json. The references below touch every item and copy every
+# path; results and written bytes must match theirs.
+
+
+def reference_ordered_unique(items):
+    seen = set()
+    out = []
+    for item in items:
+        key = normalize_name(item)
+        if key not in seen:
+            seen.add(key)
+            out.append(item)
+    return out
+
+
+def reference_parse_concept_list(answer):
+    return reference_ordered_unique(
+        [part.strip() for part in answer.split(";") if part.strip()]
+    )
+
+
+def reference_path_names(graph, path):
+    return tuple(graph.concept(cid).name for cid in path)
+
+
+def reference_outcome_to_dict(outcome):
+    if isinstance(outcome.payload, bool):
+        payload = outcome.payload
+    else:
+        payload = [list(path) for path in outcome.payload.paths]
+    return {
+        "kind": outcome.kind,
+        "payload": payload,
+        "concept_ids": list(outcome.concept_ids),
+        "named_paths": [list(path) for path in outcome.named_paths],
+    }
+
+
+def reference_trace_to_dict(trace):
+    row = trace_to_dict(trace)
+    if trace.outcome is not None:
+        row["outcome"] = reference_outcome_to_dict(trace.outcome)
+    return row
+
+
+SPELLINGS = ["Hidden Markov Model", "Probability", "Syntax Trees", "a b", "A", "x"]
+
+
+def spelled(rng: random.Random, name: str) -> str:
+    """One case and whitespace variant of a name, or a blank."""
+    roll = rng.random()
+    if roll < 0.1:
+        return rng.choice(["", " ", "\t", "   "])
+    words = name.split()
+    words = [rng.choice([w, w.lower(), w.upper(), w.title()]) for w in words]
+    inner = rng.choice([" ", "  ", "\t", "   "])
+    return rng.choice(["", " ", "  "]) + inner.join(words) + rng.choice(["", " ", "\t"])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_list_dedup_matches_the_reference_on_random_spellings(seed):
+    rng = random.Random(seed)
+    for _ in range(200):
+        names = [spelled(rng, rng.choice(SPELLINGS)) for _ in range(rng.randrange(30))]
+        if names:  # exact repeats of earlier spellings, as long answers hold them
+            names += [rng.choice(names) for _ in range(rng.randrange(10))]
+            rng.shuffle(names)
+        want = reference_ordered_unique(names)
+        assert ordered_unique(names) == want
+        assert ordered_unique(iter(names)) == want
+        answer = rng.choice([";", "; ", " ;"]).join(names)
+        assert parse_concept_list(answer) == reference_parse_concept_list(answer)
+
+
+def test_parse_concept_list_edge_cases_match_the_reference():
+    for answer in ["", ";", " ; ;", "a;;A; a ;a", "Syntax  Trees; syntax trees;Syntax Trees"]:
+        assert parse_concept_list(answer) == reference_parse_concept_list(answer)
+    assert parse_concept_list(" a ; A;a ") == ["a"]
+
+
+@pytest.fixture()
+def cyclic_graph() -> ConceptGraph:
+    concepts = tuple(Concept(id=f"c{i}", name=name) for i, name in enumerate(NAMES))
+    edges = [*EDGES, (2, 0), (4, 3), (1, 3), (3, 1), (5, 0)]
+    return ConceptGraph(concepts, frozenset((f"c{a}", f"c{b}") for a, b in edges))
+
+
+def every_task_items():
+    a, b, c = "Probability", "Viterbi Algorithm", "Word Distributions"
+    return [
+        item1(a, b, "Yes"),
+        item1(b, a, "Yes"),
+        TutorQaItem(2, f"What comes before the {b}?", [a]),
+        TutorQaItem(3, f"I know {c}; how do I reach {b}?", [c, b]),
+        TutorQaItem(4, f"I struggled with {b} and Sentence Simplification.", [a]),
+        TutorQaItem(5, f"A project on the Hidden Markov Model and {c}.", "open"),
+    ]
+
+
+@pytest.mark.parametrize("command", ["template", "garbage"])
+def test_traces_write_the_reference_bytes_on_a_cyclic_graph(cyclic_graph, command):
+    command_oracle, answer_oracle = oracles(cyclic_graph)
+    if command == "garbage":
+        command_oracle = GarbageCommandOracle()
+    kinds = set()
+    for item in every_task_items():
+        _, trace = run_task(item, cyclic_graph, command_oracle, answer_oracle)
+        got = json.dumps(trace_to_dict(trace), sort_keys=True, ensure_ascii=False)
+        want = json.dumps(reference_trace_to_dict(trace), sort_keys=True, ensure_ascii=False)
+        assert got == want
+        outcome = trace.outcome
+        if outcome is not None:
+            kinds.add(outcome.kind)
+        if outcome is not None and outcome.kind != "reachable":
+            want_names = [reference_path_names(cyclic_graph, p) for p in outcome.payload]
+            assert list(outcome.named_paths) == want_names
+    assert kinds == {"reachable", "prereq", "shortest", "neighbors"}
+
+
+def test_path_names_match_the_reference_on_every_neighborhood(cyclic_graph):
+    for concept in cyclic_graph.concepts:
+        for direction in ("in", "out"):
+            for path in cyclic_graph.neighborhood_paths(concept.id, direction, 4):
+                assert cyclic_graph.path_names(path) == reference_path_names(
+                    cyclic_graph, path
+                )
+    assert cyclic_graph.path_names(()) == ()
