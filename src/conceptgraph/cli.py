@@ -51,6 +51,8 @@ EXIT_ORACLE = 3
 EXIT_INTERNAL = 4
 
 MANIFEST_NAME = "manifest.json"
+# recover and qa start up to this many threads, one per span or question
+MAX_CONCURRENCY = 64
 
 
 class CliError(Exception):
@@ -131,11 +133,26 @@ def _on_off(value: str) -> str:
     return value
 
 
-def _positive_int(value: str) -> int:
-    number = int(value)
-    if number < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value!r}")
-    return number
+def _int_flag(wanted: str, check: Callable[[int], bool]) -> Callable[[str], int]:
+    """A flag type for integers that pass check; wanted names the range."""
+
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            number = None
+        if number is None or not check(number):
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {value!r}")
+        return number
+
+    return parse
+
+
+_positive_int = _int_flag("a positive integer", lambda n: n >= 1)
+_non_negative_int = _int_flag("an integer >= 0", lambda n: n >= 0)
+_concurrency = _int_flag(
+    f"an integer in [1, {MAX_CONCURRENCY}]", lambda n: 1 <= n <= MAX_CONCURRENCY
+)
 
 
 def _float_flag(wanted: str, check: Callable[[float], bool]) -> Callable[[str], float]:
@@ -157,6 +174,7 @@ _positive_float = _float_flag("a finite number > 0", lambda x: x > 0)
 _non_negative_float = _float_flag("a finite number >= 0", lambda x: x >= 0)
 _momentum = _float_flag("a finite number in [0, 1)", lambda x: 0 <= x < 1)
 _mu = _float_flag("a finite number in (0, 1]", lambda x: 0 < x <= 1)
+_probability = _float_flag("a finite number in [0, 1]", lambda x: 0 <= x <= 1)
 
 
 def _layer_widths(value: str) -> str:
@@ -180,9 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     live = _Parser(add_help=False)
     live.add_argument("--endpoint", default=None, help="chat-completions URL for live oracles")
     live.add_argument("--llm-model", default=None, help="model name for live oracles")
-    live.add_argument("--temperature", type=float, default=0.0)
-    live.add_argument("--timeout", type=float, default=30.0)
-    live.add_argument("--max-retries", type=int, default=3)
+    live.add_argument("--temperature", type=_non_negative_float, default=0.0)
+    live.add_argument("--timeout", type=_positive_float, default=30.0)
+    live.add_argument("--max-retries", type=_non_negative_int, default=3)
 
     rec = commands.add_parser(
         "recover", parents=[common, live], help="judge pairs and emit a recovered graph"
@@ -197,11 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--rag-k", type=_positive_int, default=None, help="passages per pair (rag only)")
     rec.add_argument("--pairs", default="all", help="all | balanced:N")
     rec.add_argument("--labels", default=None, help="labeled edge TSV for balanced sampling")
-    rec.add_argument("--flip-p", type=float, default=0.0, help="mock-graph noise probability")
+    rec.add_argument("--flip-p", type=_probability, default=0.0, help="mock-graph noise probability")
     rec.add_argument("--domain", default="general knowledge", help="domain named in prompts")
     rec.add_argument(
         "--concurrency",
-        type=_positive_int,
+        type=_concurrency,
         default=8,
         help="oracle calls in flight; 1 runs without threads",
     )
@@ -223,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--epochs", type=_positive_int, default=200)
     tr.add_argument("--momentum", type=_momentum, default=0.0)
     tr.add_argument("--negative-ratio", type=_non_negative_float, default=1.0)
-    tr.add_argument("--threshold", type=float, default=0.5)
     tr.add_argument("--proj-width", type=_positive_int, default=256)
     tr.add_argument(
         "--layer-widths", type=_layer_widths, default="128", help="comma-separated widths"
@@ -254,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     qa.add_argument("--trace", type=_on_off, default="on")
     qa.add_argument("--mu", type=_mu, default=metrics.DEFAULT_THRESHOLD)
     qa.add_argument("--embedder", default="exact", choices=["exact", "hash"])
-    qa.add_argument("--concurrency", type=_positive_int, default=1)
+    qa.add_argument("--concurrency", type=_concurrency, default=1)
     qa.add_argument("--neighbor-hops", type=_positive_int, default=pipeline.FALLBACK_HOPS)
     qa.add_argument("--task5-hops", type=_positive_int, default=1)
     qa.set_defaults(func=cmd_qa)
@@ -429,8 +446,6 @@ def _build_recover_oracle(
         return llm.LiveOracle(_live_config(args)), []
     kind, sep, path = spec.partition(":")
     if sep and kind == "mock-graph":
-        if not (0.0 <= args.flip_p <= 1.0):
-            raise ConfigError(f"--flip-p must be in [0, 1], got {args.flip_p}")
         hidden = graph.build_graph(concepts, graph.load_edge_rows(path))
         oracle = llm.GraphBackedOracle(hidden, flip_probability=args.flip_p, seed=args.seed)
         return oracle, [Path(path)]
@@ -448,9 +463,11 @@ def _build_plan(args: argparse.Namespace) -> recovery.SamplingPlan:
     kind, sep, size = spec.partition(":")
     if sep and kind == "balanced":
         try:
-            sample_size = int(size)
-        except ValueError:
-            raise ConfigError(f"--pairs balanced needs an integer, got {size!r}") from None
+            sample_size = _positive_int(size)
+        except argparse.ArgumentTypeError:
+            raise ConfigError(
+                f"--pairs balanced:N needs a positive integer N, got {size!r}"
+            ) from None
         if args.labels is None:
             raise ConfigError("--pairs balanced:N needs --labels")
         return recovery.SamplingPlan("balanced", sample_size, args.seed)
@@ -556,7 +573,6 @@ def cmd_train(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
         epochs=args.epochs,
         seed=args.seed,
         negative_ratio=args.negative_ratio,
-        edge_threshold=args.threshold,
         momentum=args.momentum,
     )
     if args.model == "gcn":

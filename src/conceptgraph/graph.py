@@ -41,11 +41,10 @@ class TsvFormatError(GraphError):
 
 @dataclass(frozen=True)
 class Concept:
-    """A node: stable id, human-readable name, optional domain tag."""
+    """A node: stable id and human-readable name."""
 
     id: str
     name: str
-    domain: str = ""
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -75,21 +74,6 @@ class PathResult:
 
     def __iter__(self):
         return iter(self.paths)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.paths
-
-    def nodes(self) -> tuple[str, ...]:
-        """Unique concept ids over all paths, in scan order."""
-        seen: set[str] = set()
-        out: list[str] = []
-        for path in self.paths:
-            for node in path:
-                if node not in seen:
-                    seen.add(node)
-                    out.append(node)
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -322,25 +306,6 @@ class ConceptGraph:
             matrix[index[a], index[b]] = 1
         return matrix
 
-    @classmethod
-    def from_adjacency(
-        cls, concepts: Sequence[Concept], matrix: np.ndarray
-    ) -> "ConceptGraph":
-        matrix = np.asarray(matrix)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise GraphError(f"adjacency must be square, got shape {matrix.shape}")
-        if matrix.shape[0] != len(concepts):
-            raise GraphError(
-                f"adjacency is {matrix.shape[0]}x{matrix.shape[0]} "
-                f"but {len(concepts)} concepts were given"
-            )
-        ids = [c.id for c in concepts]
-        edges = {
-            (ids[i], ids[j])
-            for i, j in zip(*np.nonzero(matrix), strict=True)
-        }
-        return cls(tuple(concepts), frozenset(edges))
-
 
 # -- TSV interchange -----------------------------------------------------
 
@@ -376,10 +341,6 @@ def _write_tsv(path: str | Path, records: Iterable[Sequence[str]]) -> None:
                 raise TsvFormatError(f"{path}: field {field!r} holds a tab or a line break")
         lines.append("\t".join(record) + "\n")
     files.write_text_atomic(path, "".join(lines))
-
-
-def save_concepts(concepts: Iterable[Concept], path: str | Path) -> None:
-    _write_tsv(path, ([concept.id, concept.name] for concept in concepts))
 
 
 def load_edge_rows(path: str | Path) -> list[EdgeRow]:

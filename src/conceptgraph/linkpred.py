@@ -112,10 +112,6 @@ class EmbeddingStore:
         """Vectors stacked as rows under the given name order."""
         return np.stack([self.vector(name) for name in order])
 
-    def save_jsonl(self, path: str | Path) -> None:
-        rows = ({"concept": n, "vector": self._vectors[n].tolist()} for n in self.names)
-        files.write_jsonl(path, rows)
-
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "EmbeddingStore":
         vectors: dict[str, list[float]] = {}
@@ -148,13 +144,12 @@ def bce_from_logits(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(np.logaddexp(0.0, logits) - labels * logits))
 
 
-def normalize_adjacency(a: np.ndarray, add_self_loops: bool = True) -> np.ndarray:
-    """D^(-1/2) (A [+ I]) D^(-1/2) with zero-degree rows left at zero."""
+def normalize_adjacency(a: np.ndarray) -> np.ndarray:
+    """D^(-1/2) (A + I) D^(-1/2) with zero-degree rows left at zero."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSquare(f"adjacency must be square, got shape {a.shape}")
-    if add_self_loops:
-        a = a + np.eye(a.shape[0])
+    a = a + np.eye(a.shape[0])
     degrees = a.sum(axis=1)
     inv_sqrt = np.zeros_like(degrees)
     nonzero = degrees > 0
@@ -185,10 +180,6 @@ class GcnModel:
             raise DimensionMismatch(
                 f"scorer must be {width}x{width}, got {self.r.shape}"
             )
-
-    @property
-    def output_dim(self) -> int:
-        return self.r.shape[0]
 
     @classmethod
     def init(
@@ -337,7 +328,6 @@ class TrainConfig:
     epochs: int = 200
     seed: int = 0
     negative_ratio: float = 1.0
-    edge_threshold: float = 0.5
     momentum: float = 0.0
 
     def __post_init__(self) -> None:

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import requests
-
 from . import files
 from .graph import ConceptGraph
 from .pipeline import (
@@ -74,8 +72,10 @@ class OracleConfig:
     temperature: float = 0.0
     timeout: float = 30.0
     max_retries: int = 3
-    backoff: float = 1.0
 
+
+# seconds before the first retry; each later retry waits twice as long
+RETRY_BACKOFF = 1.0
 
 # Patchable in tests so retry loops run without real delays.
 _sleep = time.sleep
@@ -85,7 +85,10 @@ def complete(config: OracleConfig, prompt: str) -> str:
     """One completion with retry on 429, 5xx, and connection failures.
 
     Auth failures (401/403) and other client errors raise immediately.
+    requests is imported here, so runs that only use mocks never load it.
     """
+    import requests
+
     payload = {
         "model": config.model,
         "temperature": config.temperature,
@@ -98,7 +101,7 @@ def complete(config: OracleConfig, prompt: str) -> str:
     last_error = "no attempts made"
     for attempt in range(config.max_retries + 1):
         if attempt:
-            _sleep(config.backoff * 2 ** (attempt - 1))
+            _sleep(RETRY_BACKOFF * 2 ** (attempt - 1))
         try:
             response = requests.post(
                 config.endpoint, json=payload, headers=headers, timeout=config.timeout

@@ -196,12 +196,6 @@ class SimilarityMatcher:
             vector = self._vectors[text] = self.embed(text)
         return vector
 
-    def cosine(self, a: str, b: str) -> float:
-        return padded_cosine(self._vector(a), self._vector(b))
-
-    def matches(self, a: str, b: str) -> bool:
-        return self.cosine(a, b) > self.threshold
-
 
 def _max_bipartite_matching(adjacency: Sequence[Sequence[bool]]) -> int:
     """Size of a maximum matching, by augmenting paths.

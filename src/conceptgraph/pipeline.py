@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import files
-from .graph import ConceptGraph, PathResult, UnknownConcept
+from .graph import ConceptGraph, UnknownConcept
 from .query import (
     GRAMMAR_REFERENCE,
     GraphQuery,
@@ -71,7 +71,7 @@ class FallbackExhausted(PipelineError):
 
 
 class TutorQaFormatError(PipelineError):
-    """A question/answer file or trace file does not match the format."""
+    """A question/answer file does not match the format."""
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,8 @@ class TutorQaItem:
 
 @dataclass(frozen=True)
 class PipelineTrace:
-    """Everything one question's run did, sufficient to replay it."""
+    """Everything one question's run did. save_traces writes it as a
+    write-only audit record; nothing in the package reads it back."""
 
     question: str
     generated_command: str
@@ -223,7 +224,7 @@ def read_grounding_prompt(
 ) -> tuple[str, bool, tuple[tuple[str, ...], ...]] | None:
     """(question, yes/no rule, named paths) of a prompt that
     build_grounding_prompt rendered, with or without the retry
-    instruction ground_and_answer appends; None for any other text."""
+    instruction _answer_grounded appends; None for any other text."""
     prompt = prompt.removesuffix(RETRY_SUFFIX)
     read = _read_sections(prompt, PATH_MARKER)
     if read is None:
@@ -237,17 +238,9 @@ def read_grounding_prompt(
     )
 
 
-def ground_and_answer(question: str, outcome: QueryOutcome, oracle: Oracle) -> str:
-    """Answer the question from the outcome's paths alone.
-
-    Reachability answers are normalized to exactly "Yes" or "No", with
-    one retry when the response contains neither token; other kinds
-    return the oracle's text verbatim.
-    """
-    return _answer_grounded(build_grounding_prompt(question, outcome), outcome, oracle)
-
-
 def _answer_grounded(prompt: str, outcome: QueryOutcome, oracle: Oracle) -> str:
+    """The oracle's reply, verbatim except for reachability: that is "Yes"
+    or "No", asked once more when the first reply holds neither."""
     response = oracle(prompt)
     if outcome.kind != "reachable":
         return response
@@ -446,28 +439,6 @@ def parse_concept_list(answer: str) -> list[str]:
     return ordered_unique(part for part in parts if part)
 
 
-def oracle_from_trace(item: TutorQaItem, trace: PipelineTrace) -> Oracle:
-    """A replay oracle serving exactly the prompts the trace answered.
-
-    Feeding it back through run_task reproduces the original answer;
-    any other prompt is an error.
-    """
-    responses: dict[str, str] = {trace.grounding_prompt: trace.final_answer}
-    if item.task != 5:
-        responses[build_command_prompt(item.question, item.task)] = (
-            trace.generated_command
-        )
-
-    def replay(prompt: str) -> str:
-        if prompt not in responses:
-            raise PipelineError(
-                f"trace has no response for prompt starting {prompt[:60]!r}"
-            )
-        return responses[prompt]
-
-    return replay
-
-
 # -- JSON Lines interchange -------------------------------------------------
 
 
@@ -486,12 +457,6 @@ def load_tutorqa(path: str | Path) -> list[TutorQaItem]:
     return items
 
 
-def save_tutorqa(items: list[TutorQaItem], path: str | Path) -> None:
-    # json writes the tuple answers of tasks 2 to 4 as arrays
-    rows = ({"task": i.task, "question": i.question, "answer": i.answer} for i in items)
-    files.write_jsonl(path, rows)
-
-
 def _outcome_to_dict(outcome: QueryOutcome) -> dict[str, object]:
     # json writes the tuples as arrays, so they pass through uncopied
     payload = outcome.payload
@@ -501,18 +466,6 @@ def _outcome_to_dict(outcome: QueryOutcome) -> dict[str, object]:
         "concept_ids": outcome.concept_ids,
         "named_paths": outcome.named_paths,
     }
-
-
-def _outcome_from_dict(row: dict[str, object]) -> QueryOutcome:
-    payload = row["payload"]
-    if not isinstance(payload, bool):
-        payload = PathResult(tuple(tuple(path) for path in payload))
-    return QueryOutcome(
-        kind=row["kind"],
-        payload=payload,
-        concept_ids=tuple(row["concept_ids"]),
-        named_paths=tuple(tuple(path) for path in row["named_paths"]),
-    )
 
 
 def trace_to_dict(trace: PipelineTrace) -> dict[str, object]:
@@ -531,30 +484,5 @@ def trace_to_dict(trace: PipelineTrace) -> dict[str, object]:
     }
 
 
-def trace_from_dict(row: dict[str, object]) -> PipelineTrace:
-    try:
-        return PipelineTrace(
-            question=row["question"],
-            generated_command=row["generated_command"],
-            parsed_query=(
-                None
-                if row["parsed_query"] is None
-                else parse_query(row["parsed_query"])
-            ),
-            outcome=(
-                None if row["outcome"] is None else _outcome_from_dict(row["outcome"])
-            ),
-            grounding_prompt=row["grounding_prompt"],
-            final_answer=row["final_answer"],
-            fallback_used=row["fallback_used"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise TutorQaFormatError(f"bad trace row: {exc}") from exc
-
-
 def save_traces(traces: list[PipelineTrace], path: str | Path) -> None:
     files.write_jsonl(path, map(trace_to_dict, traces))
-
-
-def load_traces(path: str | Path) -> list[PipelineTrace]:
-    return [trace_from_dict(row) for _, row in files.read_jsonl(path, TutorQaFormatError)]

@@ -294,7 +294,7 @@ def execute(query: GraphQuery, graph: ConceptGraph) -> QueryOutcome:
         witness = graph.shortest_path(a.id, b.id)
         return QueryOutcome(
             "reachable",
-            not witness.is_empty,
+            bool(witness),
             (a.id, b.id),
             _named(graph, witness),
         )

@@ -290,7 +290,6 @@ def test_criterion_6_gcn_learnability():
             epochs=200,
             seed=0,
             momentum=SEPARABLE_MOMENTUM,
-            edge_threshold=0.5,
         )
         first = train_gcn(store, rows, config, **SEPARABLE_WIDTHS)
         pairs = [(a, b) for a, b, _ in rows]

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conceptgraph import cli, llm
+from conceptgraph import cli, files, llm
 from conceptgraph.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -28,7 +28,6 @@ from conceptgraph.cli import (
 from conceptgraph.corpus import RetrievalIndex, ingest
 from conceptgraph.graph import EdgeRow, load_edge_rows
 from conceptgraph.linkpred import ConcatModel, GcnModel
-from conceptgraph.pipeline import load_traces
 from conceptgraph.textnorm import VocabularyMatcher
 
 
@@ -469,8 +468,8 @@ def test_qa_garbage_commands_fall_back_to_same_accuracy(qa_workspace):
     out = qa_workspace / "out"
     report = json.loads((out / "qa-report-task1.json").read_text())
     assert report["accuracy"] == 1.0
-    for trace in load_traces(out / "traces.jsonl"):
-        assert trace.fallback_used
+    traces = [row for _, row in files.read_jsonl(out / "traces.jsonl", ValueError)]
+    assert traces and all(trace["fallback_used"] is True for trace in traces)
 
 
 def test_qa_rerun_is_byte_identical(qa_workspace):
@@ -675,6 +674,54 @@ def test_train_numeric_flags_are_checked_at_parse_time(train_workspace, capsys, 
         assert code == EXIT_CONFIG, err
         assert flag in err
         assert not (train_workspace / "out" / "train-report.json").exists()
+
+
+LIVE = ["--endpoint", "http://localhost:9/v1/chat", "--llm-model", "m"]
+LIVE_FLAG_CASES = [
+    ("--timeout", "-1"),
+    ("--timeout", "0"),
+    ("--timeout", "nan"),
+    ("--timeout", "inf"),
+    ("--temperature", "-1"),
+    ("--temperature", "nan"),
+    ("--temperature", "inf"),
+    ("--max-retries", "-5"),
+    ("--max-retries", "1.5"),
+    ("--max-retries", "nan"),
+    ("--concurrency", str(cli.MAX_CONCURRENCY + 1)),
+]
+RECOVER_FLAG_CASES = [
+    ("--flip-p", "-0.1"),
+    ("--flip-p", "1.5"),
+    ("--flip-p", "nan"),
+    ("--flip-p", "inf"),
+    ("--pairs", "balanced:0"),
+    ("--pairs", "balanced:-3"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("recover", *case) for case in LIVE_FLAG_CASES + RECOVER_FLAG_CASES]
+    + [("qa", *case) for case in LIVE_FLAG_CASES],
+)
+def test_oracle_and_thread_flags_are_checked_at_parse_time(
+    qa_workspace, monkeypatch, capsys, command, flag, value
+):
+    calls = []
+    monkeypatch.setattr(llm, "complete", lambda config, prompt: calls.append(prompt))
+    if command == "recover":
+        write_edges(qa_workspace / "labels.tsv")
+        argv = recover_argv(qa_workspace, "out", *LIVE, "--labels", str(qa_workspace / "labels.tsv"))
+        argv[argv.index("--oracle") + 1] = "live"
+    else:
+        argv = qa_argv(qa_workspace, "out", *LIVE, "--command-oracle", "live", "--answer-oracle", "live")
+    code = main([*argv, flag, value])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG, err
+    assert flag in err
+    assert calls == []
+    assert not (qa_workspace / "out").exists()
 
 
 @pytest.mark.parametrize("ratio", ["1e308", "1e6"])

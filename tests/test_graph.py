@@ -24,7 +24,6 @@ from conceptgraph.graph import (
     build_graph,
     load_concepts,
     load_edge_rows,
-    save_concepts,
     save_edge_rows,
 )
 
@@ -220,9 +219,9 @@ def test_shortest_path_returns_all_minimal_routes():
 
 def test_shortest_path_empty_when_unreachable_or_same_node():
     g = make_graph(3, [(0, 1), (1, 2), (2, 0)])
-    assert g.shortest_path("c0", "c0").is_empty
+    assert g.shortest_path("c0", "c0") == PathResult()
     isolated = make_graph(2, [])
-    assert isolated.shortest_path("c0", "c1").is_empty
+    assert isolated.shortest_path("c0", "c1") == PathResult()
 
 
 def test_shortest_path_terminates_and_ignores_cycles():
@@ -307,15 +306,15 @@ def test_traversals_terminate_on_dense_cyclic_graph():
 def test_path_result_sorts_and_deduplicates_nothing():
     result = PathResult((("b", "c"), ("a", "b")))
     assert result.paths == (("a", "b"), ("b", "c"))
-    assert result.nodes() == ("a", "b", "c")
+    assert list(result) == [("a", "b"), ("b", "c")]
     assert bool(result) and len(result) == 2
-    assert PathResult().is_empty
+    assert not PathResult()
 
 
 # -- matrix form ---------------------------------------------------------------
 
 
-def test_adjacency_round_trips_through_from_adjacency():
+def test_adjacency_marks_exactly_the_edges():
     rng = random.Random(5705)
     for _ in range(20):
         n = rng.randint(2, 6)
@@ -323,9 +322,10 @@ def test_adjacency_round_trips_through_from_adjacency():
         ordering = list(g.ids)
         rng.shuffle(ordering)
         matrix = g.adjacency(ordering)
-        concepts = tuple(g.concept(cid) for cid in ordering)
-        rebuilt = ConceptGraph.from_adjacency(concepts, matrix)
-        assert rebuilt.edges == g.edges
+        assert matrix.shape == (n, n)
+        for i, a in enumerate(ordering):
+            for j, b in enumerate(ordering):
+                assert matrix[i, j] == ((a, b) in g.edges), (a, b)
 
 
 def test_adjacency_rejects_bad_orderings():
@@ -338,24 +338,13 @@ def test_adjacency_rejects_bad_orderings():
         g.adjacency(["c0", "c1", "c9"])
 
 
-def test_from_adjacency_validates_shape_and_diagonal():
-    concepts = (Concept("a", "alpha"), Concept("b", "beta"))
-    with pytest.raises(GraphError):
-        ConceptGraph.from_adjacency(concepts, np.zeros((2, 3)))
-    with pytest.raises(GraphError):
-        ConceptGraph.from_adjacency(concepts, np.zeros((3, 3)))
-    with pytest.raises(SelfLoop):
-        ConceptGraph.from_adjacency(concepts, np.eye(2))
-
-
 # -- TSV interchange -------------------------------------------------------------
 
 
 def test_concept_tsv_round_trip(tmp_path):
     concepts = [Concept("c1", "Hidden Markov Model"), Concept("c2", "Viterbi")]
     path = tmp_path / "concepts.tsv"
-    save_concepts(concepts, path)
-    assert path.read_text() == "c1\tHidden Markov Model\nc2\tViterbi\n"
+    path.write_text("c1\tHidden Markov Model\nc2\tViterbi\n")
     assert load_concepts(path) == concepts
 
 
@@ -414,8 +403,6 @@ def test_tsv_round_trips_quotes_byte_identically(tmp_path):
     text = 'c1\tU.S. "Fed"\nc2\t"Fed" policy\n'
     path.write_text(text, encoding="utf-8")
     copy = tmp_path / "copy.tsv"
-    save_concepts(load_concepts(path), copy)
-    assert copy.read_bytes() == path.read_bytes()
     save_edge_rows(load_edge_rows(path), copy)
     assert copy.read_bytes() == path.read_bytes()
 
@@ -425,7 +412,7 @@ def test_tsv_writers_refuse_tabs_and_line_breaks(tmp_path, bad):
     path = tmp_path / "out.tsv"
     path.write_text("before\n")
     with pytest.raises(TsvFormatError, match="tab or a line break"):
-        save_concepts([Concept("c1", "fine"), Concept("c2", bad)], path)
+        save_edge_rows([EdgeRow("a", "b"), EdgeRow(bad, "b")], path)
     with pytest.raises(TsvFormatError, match="tab or a line break"):
         save_edge_rows([EdgeRow("a", bad, 1)], path)
     assert path.read_text() == "before\n"

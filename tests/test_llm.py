@@ -3,8 +3,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 import requests
@@ -85,7 +88,7 @@ def test_complete_success_sends_payload_and_key(monkeypatch, no_sleep):
         seen.update(url=url, payload=json, headers=headers, timeout=timeout)
         return FakeResponse(200, completion_body("YES"))
 
-    monkeypatch.setattr(llm.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     monkeypatch.setenv("LLM_API_KEY", "sk-secret")
     assert complete(CONFIG, "hello") == "YES"
     assert seen["url"] == CONFIG.endpoint
@@ -101,7 +104,7 @@ def test_complete_omits_auth_header_without_key(monkeypatch, no_sleep):
         assert "Authorization" not in headers
         return FakeResponse(200, completion_body("ok"))
 
-    monkeypatch.setattr(llm.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     monkeypatch.delenv("LLM_API_KEY", raising=False)
     assert complete(CONFIG, "x") == "ok"
 
@@ -112,17 +115,17 @@ def test_complete_retries_5xx_then_succeeds(monkeypatch, no_sleep):
     def fake_post(*args, **kwargs):
         return responses.pop(0)
 
-    monkeypatch.setattr(llm.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     assert complete(CONFIG, "x") == "fine"
     assert no_sleep == [1.0, 2.0]
 
 
 def test_complete_rate_limit_exhaustion(monkeypatch, no_sleep):
-    monkeypatch.setattr(llm.requests, "post", lambda *a, **k: FakeResponse(429))
-    config = OracleConfig(endpoint="e", model="m", max_retries=2, backoff=0.5)
+    monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(429))
+    config = OracleConfig(endpoint="e", model="m", max_retries=2)
     with pytest.raises(RateLimitedError):
         complete(config, "x")
-    assert no_sleep == [0.5, 1.0]
+    assert no_sleep == [1.0, 2.0]
 
 
 def test_complete_auth_failure_never_retries(monkeypatch, no_sleep):
@@ -132,7 +135,7 @@ def test_complete_auth_failure_never_retries(monkeypatch, no_sleep):
         calls.append(1)
         return FakeResponse(401)
 
-    monkeypatch.setattr(llm.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     with pytest.raises(AuthFailureError):
         complete(CONFIG, "x")
     assert len(calls) == 1
@@ -143,23 +146,23 @@ def test_complete_connection_errors_retry_then_fail(monkeypatch, no_sleep):
     def fake_post(*args, **kwargs):
         raise requests.ConnectionError("refused")
 
-    monkeypatch.setattr(llm.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     config = OracleConfig(endpoint="e", model="m", max_retries=1)
     with pytest.raises(TransportError, match="connection failure"):
         complete(config, "x")
 
 
 def test_complete_malformed_bodies_raise(monkeypatch, no_sleep):
-    monkeypatch.setattr(llm.requests, "post", lambda *a, **k: FakeResponse(200))
+    monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(200))
     with pytest.raises(TransportError, match="malformed"):
         complete(CONFIG, "x")
     monkeypatch.setattr(
-        llm.requests, "post", lambda *a, **k: FakeResponse(200, {"choices": []})
+        requests, "post", lambda *a, **k: FakeResponse(200, {"choices": []})
     )
     with pytest.raises(TransportError, match="malformed"):
         complete(CONFIG, "x")
     monkeypatch.setattr(
-        llm.requests,
+        requests,
         "post",
         lambda *a, **k: FakeResponse(200, {"choices": [{"message": {"content": 5}}]}),
     )
@@ -168,17 +171,32 @@ def test_complete_malformed_bodies_raise(monkeypatch, no_sleep):
 
 
 def test_complete_other_client_errors_raise_immediately(monkeypatch, no_sleep):
-    monkeypatch.setattr(llm.requests, "post", lambda *a, **k: FakeResponse(404))
+    monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(404))
     with pytest.raises(TransportError, match="HTTP 404"):
         complete(CONFIG, "x")
 
 
 def test_live_oracle_is_callable(monkeypatch, no_sleep):
     monkeypatch.setattr(
-        llm.requests, "post", lambda *a, **k: FakeResponse(200, completion_body("NO"))
+        requests, "post", lambda *a, **k: FakeResponse(200, completion_body("NO"))
     )
     oracle = LiveOracle(CONFIG)
     assert oracle("anything") == "NO"
+
+
+def test_importing_the_cli_does_not_load_requests():
+    # only the live transport needs requests; mock runs never pay its import
+    src = str(Path(llm.__file__).parents[1])
+    code = "import sys, conceptgraph.cli; print('requests' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 # -- prompt classification ---------------------------------------------------------

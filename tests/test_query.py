@@ -270,7 +270,7 @@ def test_shortest_on_unreachable_pair_is_empty_not_error():
     graph = make_graph(3, [(0, 1)])
     outcome = execute(ShortestPath("node 2", "node 0"), graph)
     assert isinstance(outcome.payload, PathResult)
-    assert outcome.payload.is_empty
+    assert not outcome.payload
 
 
 def test_unknown_concepts_are_errors():
