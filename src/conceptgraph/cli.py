@@ -36,7 +36,7 @@ import json
 import math
 import statistics
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -385,7 +385,7 @@ def write_manifest(
     )
     path = Path(args.output_dir) / MANIFEST_NAME
     files.write_text_atomic(
-        path, json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n"
+        path, json.dumps(manifest.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
     )
     return path
 
@@ -599,7 +599,7 @@ def cmd_train(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
     }
     report_path = _out(args, "train-report.json")
     files.write_text_atomic(
-        report_path, json.dumps(report, indent=2, sort_keys=True) + "\n"
+        report_path, json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     )
     return [Path(args.embeddings), Path(args.edges)], [checkpoint, report_path]
 
@@ -673,26 +673,33 @@ def cmd_qa(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
         neighbor_hops=args.neighbor_hops,
         task5_hops=args.task5_hops,
     )
+    # each trace is written as its question finishes; only answers are kept
+    answers: list[str] = []
 
-    outputs: list[Path] = []
+    def traces() -> Iterator[pipeline.PipelineTrace]:
+        for answer, trace in results:
+            answers.append(answer)
+            yield trace
+
     answers_path = _out(args, "answers.jsonl")
+    outputs = [answers_path]
+    if args.trace == "on":
+        traces_path = _out(args, "traces.jsonl")
+        pipeline.save_traces(traces(), traces_path)
+        outputs.append(traces_path)
+    else:
+        answers.extend(answer for answer, _trace in results)
     files.write_jsonl(
         answers_path,
         (
             {"task": item.task, "question": item.question, "answer": answer}
-            for item, (answer, _trace) in zip(items, results)
+            for item, answer in zip(items, answers)
         ),
     )
-    outputs.append(answers_path)
-
-    if args.trace == "on":
-        traces_path = _out(args, "traces.jsonl")
-        pipeline.save_traces([trace for _, trace in results], traces_path)
-        outputs.append(traces_path)
 
     matcher = metrics.SimilarityMatcher(_make_embedder(args.embedder, args.seed), args.mu)
     by_task: dict[int, list[tuple[pipeline.TutorQaItem, str]]] = {}
-    for item, (answer, _trace) in zip(items, results):
+    for item, answer in zip(items, answers):
         by_task.setdefault(item.task, []).append((item, answer))
 
     for task in sorted(by_task):

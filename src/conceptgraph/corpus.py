@@ -143,9 +143,10 @@ class RetrievalIndex:
                 for d in self.documents
             ],
         }
-        files.write_text_atomic(
-            path, json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(
+            payload, ensure_ascii=False, sort_keys=True, indent=2, allow_nan=False
         )
+        files.write_text_atomic(path, text + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "RetrievalIndex":

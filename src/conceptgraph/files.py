@@ -7,6 +7,8 @@ previous file as it was. JSON Lines files hold one JSON object per
 line, written with sorted keys and non-ASCII text kept as is; blank
 lines are skipped on reading. Versioned JSON documents carry "format"
 and "version" fields that readers check before using anything else.
+No writer in the package emits NaN or Infinity, which JSON does not
+allow: such a number raises ValueError instead.
 """
 from __future__ import annotations
 
@@ -37,12 +39,16 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         fh.write(text)
 
 
+_ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, allow_nan=False)
+
+
 def write_jsonl(path: str | Path, rows: Iterable[Mapping[str, object]]) -> None:
     """One JSON object per line, all or nothing; rows are encoded as they
-    are written, so a long row sequence is never held as one string."""
+    are written, so a long row sequence is never held as one string. A
+    NaN or infinite number raises ValueError and leaves no file."""
     with _replacing(path) as fh:
         for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+            fh.write(_ROW_ENCODER.encode(row) + "\n")
 
 
 def read_lines(path: str | Path) -> list[str]:

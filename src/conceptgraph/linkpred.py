@@ -59,6 +59,18 @@ class CheckpointFormatError(LinkPredError):
     """A serialized model is malformed or has the wrong version."""
 
 
+class TrainingDiverged(LinkPredError):
+    """The training loss stopped being a finite number."""
+
+
+def _finite_loss(loss: float, epoch: int) -> float:
+    """loss itself; a NaN or infinite loss at epoch (1-based) raises
+    TrainingDiverged, so a diverged model is never returned."""
+    if not math.isfinite(loss):
+        raise TrainingDiverged(f"training diverged at epoch {epoch}: the loss is {loss}")
+    return loss
+
+
 # -- embeddings ---------------------------------------------------------------
 
 
@@ -210,7 +222,7 @@ class GcnModel:
             "w_layers": [w.tolist() for w in self.w_layers],
             "r": self.r.tolist(),
         }
-        files.write_text_atomic(path, json.dumps(payload, sort_keys=True) + "\n")
+        files.write_text_atomic(path, json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "GcnModel":
@@ -464,9 +476,9 @@ def train_gcn(
     weights = (model.w_proj, *model.w_layers, model.r)
     velocities = tuple(np.zeros_like(w) for w in weights)
     losses: list[float] = []
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         loss, grads = gcn_loss_and_grads(x, a_norm, model, batch)
-        losses.append(loss)
+        losses.append(_finite_loss(loss, epoch))
         for w, v, g in zip(
             weights, velocities, (grads.w_proj, *grads.w_layers, grads.r), strict=True
         ):
@@ -511,7 +523,7 @@ class ConcatModel:
             "weights": self.weights.tolist(),
             "bias": self.bias,
         }
-        files.write_text_atomic(path, json.dumps(payload, sort_keys=True) + "\n")
+        files.write_text_atomic(path, json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "ConcatModel":
@@ -547,9 +559,9 @@ def train_concat(
     v_w = np.zeros_like(weights)
     v_b = 0.0
     losses: list[float] = []
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         logits = features @ weights + bias
-        losses.append(bce_from_logits(logits, labels))
+        losses.append(_finite_loss(bce_from_logits(logits, labels), epoch))
         residual = (sigmoid(logits) - labels) / len(labels)
         g_w = features.T @ residual
         g_b = float(residual.sum())

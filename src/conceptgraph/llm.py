@@ -73,6 +73,18 @@ class OracleConfig:
     timeout: float = 30.0
     max_retries: int = 3
 
+    def __post_init__(self) -> None:
+        # chained comparisons with infinity are false for NaN as well
+        if not 0 < self.timeout < float("inf"):
+            raise ValueError(f"timeout must be a finite number > 0, got {self.timeout!r}")
+        if not 0 <= self.temperature < float("inf"):
+            raise ValueError(
+                f"temperature must be a finite number >= 0, got {self.temperature!r}"
+            )
+        retries = self.max_retries
+        if isinstance(retries, bool) or not isinstance(retries, int) or retries < 0:
+            raise ValueError(f"max_retries must be an integer >= 0, got {retries!r}")
+
 
 # seconds before the first retry; each later retry waits twice as long
 RETRY_BACKOFF = 1.0

@@ -438,4 +438,4 @@ def render_report(payload: Mapping[str, object]) -> str:
 
 def report_json(payload: Mapping[str, object]) -> str:
     """Canonical JSON rendering of a report payload."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"

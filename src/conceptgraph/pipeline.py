@@ -16,7 +16,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import files
 from .graph import ConceptGraph, UnknownConcept
@@ -392,7 +392,7 @@ def run_task_5(
 
 
 def run_items(
-    items: list[TutorQaItem],
+    items: Iterable[TutorQaItem],
     graph: ConceptGraph,
     command_oracle: Oracle,
     answer_oracle: Oracle,
@@ -400,11 +400,14 @@ def run_items(
     concurrency: int = 1,
     neighbor_hops: int = FALLBACK_HOPS,
     task5_hops: int = 1,
-) -> list[tuple[str, PipelineTrace]]:
-    """Run a batch; results keep item order regardless of concurrency.
+) -> Iterator[tuple[str, PipelineTrace]]:
+    """Yield (answer, trace) per item, in item order, as each finishes.
 
-    Prompts and answers list concept names separated by ";", so a graph
-    with a name holding one is refused before the first oracle call.
+    The checks run before the first question: prompts and answers list
+    concept names separated by ";", so a graph with a name holding one
+    is refused. Above concurrency 1, at most 2 * concurrency questions
+    are started but not yet consumed, and the rest are cancelled when
+    the consumer stops early.
     """
     if concurrency < 1:
         raise PipelineError(f"concurrency must be >= 1, got {concurrency}")
@@ -425,10 +428,30 @@ def run_items(
             task5_hops=task5_hops,
         )
 
-    if concurrency == 1 or len(items) <= 1:
-        return [one(item) for item in items]
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        return list(pool.map(one, items))
+    if concurrency == 1:
+        return map(one, items)
+    return _run_windowed(one, items, concurrency)
+
+
+def _run_windowed(
+    one: Callable[[TutorQaItem], tuple[str, PipelineTrace]],
+    items: Iterable[TutorQaItem],
+    concurrency: int,
+) -> Iterator[tuple[str, PipelineTrace]]:
+    """one(item) for each item on a thread pool, yielded in item order;
+    the pool starts on the first request and is shut down, cancelling
+    what has not started, when the generator finishes or is closed."""
+    pool = ThreadPoolExecutor(max_workers=concurrency)
+    pending = []  # futures in item order, at most 2 * concurrency
+    try:
+        for item in items:
+            if len(pending) == 2 * concurrency:
+                yield pending.pop(0).result()
+            pending.append(pool.submit(one, item))
+        while pending:
+            yield pending.pop(0).result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def parse_concept_list(answer: str) -> list[str]:
@@ -484,5 +507,6 @@ def trace_to_dict(trace: PipelineTrace) -> dict[str, object]:
     }
 
 
-def save_traces(traces: list[PipelineTrace], path: str | Path) -> None:
+def save_traces(traces: Iterable[PipelineTrace], path: str | Path) -> None:
+    """Write each trace as it arrives, so a lazy sequence is never held."""
     files.write_jsonl(path, map(trace_to_dict, traces))

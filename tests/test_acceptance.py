@@ -453,15 +453,15 @@ def test_criterion_9_pipeline_determinism():
             gold.append(expected)
 
         answer_oracle = GroundedAnswerOracle()
-        direct = run_items(
+        direct = list(run_items(
             items, graph, TemplateCommandOracle(names), answer_oracle, concurrency=8
-        )
+        ))
         report = binary_report([answer for answer, _ in direct], gold)
         assert report.accuracy == 1.0
 
-        fallback = run_items(
+        fallback = list(run_items(
             items, graph, GarbageCommandOracle(), answer_oracle, concurrency=8
-        )
+        ))
         report = binary_report([answer for answer, _ in fallback], gold)
         assert report.accuracy == 1.0
         assert all(trace.fallback_used for _, trace in fallback)

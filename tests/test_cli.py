@@ -734,6 +734,20 @@ def test_train_negative_ratio_beyond_the_free_pairs_exits_2(train_workspace, cap
     assert "free pairs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", ["gcn", "concat"])
+def test_train_divergence_exits_2_and_writes_nothing(train_workspace, capsys, model):
+    path = train_workspace / "emb.jsonl"
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    rows[0]["vector"][0] = 1e200
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    with np.errstate(all="ignore"):
+        code = main(train_argv(train_workspace, "out", "--model", model))
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA, err
+    assert "training diverged at epoch" in err
+    assert not (train_workspace / "out").exists()
+
+
 # -- fixtures -------------------------------------------------------------------------
 
 

@@ -26,6 +26,7 @@ from conceptgraph.linkpred import (
     MissingEmbedding,
     NonSquare,
     TrainConfig,
+    TrainingDiverged,
     bce_from_logits,
     gcn_forward,
     gcn_loss_and_grads,
@@ -767,3 +768,34 @@ def test_train_config_rejects_nan(field):
 def test_train_config_rejects_an_infinite_learning_rate(rate):
     with pytest.raises(LinkPredError):
         TrainConfig(learning_rate=rate)
+
+
+# -- divergence ---------------------------------------------------------------------
+
+DIVERGED = r"^training diverged at epoch \d+: the loss is (nan|inf)$"
+
+
+def one_huge_entry() -> tuple[EmbeddingStore, list]:
+    store, rows = separable_task()
+    vectors = {name: store.vector(name).tolist() for name in store.names}
+    vectors[rows[0][0]][0] = 1e200
+    return EmbeddingStore(vectors), rows
+
+
+@pytest.mark.parametrize("model", ["gcn", "concat"])
+def test_a_non_finite_loss_stops_training_and_names_the_epoch(model):
+    store, rows = one_huge_entry()
+    config = TrainConfig(learning_rate=SEPARABLE_LR, epochs=30, seed=0)
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match=DIVERGED):
+        if model == "gcn":
+            train_gcn(store, rows, config, **SEPARABLE_WIDTHS)
+        else:
+            train_concat(store, rows, config)
+
+
+def test_a_diverging_learning_rate_stops_gcn_training():
+    store, rows = separable_task()
+    config = TrainConfig(learning_rate=10.0, epochs=30, seed=0)
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match=DIVERGED):
+        train_gcn(store, rows, config, **SEPARABLE_WIDTHS)
+    assert issubclass(TrainingDiverged, LinkPredError)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -470,3 +471,28 @@ def test_grounded_answer_oracle_rejects_other_prompts():
         oracle("plain question")
     with pytest.raises(UnrecognizedPrompt):
         oracle("***Question**:\nQ but no sections")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("timeout", 0.0),
+        ("timeout", -1.0),
+        ("timeout", math.nan),
+        ("timeout", math.inf),
+        ("temperature", -0.5),
+        ("temperature", math.nan),
+        ("temperature", math.inf),
+        ("max_retries", -1),
+        ("max_retries", 1.5),
+        ("max_retries", True),
+    ],
+)
+def test_oracle_config_checks_its_fields(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        OracleConfig(endpoint="e", model="m", **{field: value})
+
+
+def test_oracle_config_accepts_the_edges_of_each_range():
+    config = OracleConfig(endpoint="e", model="m", temperature=0.0, timeout=1e-3, max_retries=0)
+    assert (config.temperature, config.timeout, config.max_retries) == (0.0, 1e-3, 0)

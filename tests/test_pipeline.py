@@ -357,8 +357,8 @@ def test_run_items_concurrency_is_invisible(graph):
         a, b = rng.sample(NAMES, 2)
         items.append(item1(a, b, "Yes" if graph.has_path(
             graph.resolve(a).id, graph.resolve(b).id) else "No"))
-    serial = run_items(items, graph, command_oracle, answer_oracle, concurrency=1)
-    threaded = run_items(items, graph, command_oracle, answer_oracle, concurrency=4)
+    serial = list(run_items(items, graph, command_oracle, answer_oracle, concurrency=1))
+    threaded = list(run_items(items, graph, command_oracle, answer_oracle, concurrency=4))
     assert serial == threaded
     with pytest.raises(PipelineError):
         run_items(items, graph, command_oracle, answer_oracle, concurrency=0)
@@ -377,7 +377,7 @@ def test_fallback_and_task5_questions_share_one_vocabulary_matcher(graph, monkey
     items.append(TutorQaItem(5, "A project on the Viterbi Algorithm", "open"))
     items.append(TutorQaItem(5, "A project on Syntax Trees", "open"))
     assert "matcher" not in vars(graph)
-    run_items(items, graph, GarbageCommandOracle(), GroundedAnswerOracle())
+    list(run_items(items, graph, GarbageCommandOracle(), GroundedAnswerOracle()))
     assert len(builds) == 1
     text = "Syntax Trees and Probability"
     assert extract_concepts(text, graph.matcher) == ["Syntax Trees", "Probability"]
@@ -552,7 +552,7 @@ def test_run_task_renders_each_grounding_prompt_once(graph, monkeypatch):
     monkeypatch.setattr("conceptgraph.pipeline.build_grounding_prompt", counting_build)
     vocab = [c.name for c in graph.concepts]
     items = [item1(a, b, "Yes") for a, b in zip(NAMES, reversed(NAMES)) if a != b]
-    results = run_items(items, graph, TemplateCommandOracle(vocab), GroundedAnswerOracle())
+    results = list(run_items(items, graph, TemplateCommandOracle(vocab), GroundedAnswerOracle()))
     assert rendered == [item.question for item in items]
     for item, (answer, trace) in zip(items, results):
         assert trace.grounding_prompt == build_grounding_prompt(item.question, trace.outcome)
