@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import statistics
 import sys
@@ -173,7 +172,7 @@ def _float_flag(wanted: str, check: Callable[[float], bool]) -> Callable[[str], 
 _positive_float = _float_flag("a finite number > 0", lambda x: x > 0)
 _non_negative_float = _float_flag("a finite number >= 0", lambda x: x >= 0)
 _momentum = _float_flag("a finite number in [0, 1)", lambda x: 0 <= x < 1)
-_mu = _float_flag("a finite number in (0, 1]", lambda x: 0 < x <= 1)
+_mu = _float_flag("a finite number in (0, 1)", lambda x: 0 < x < 1)
 _probability = _float_flag("a finite number in [0, 1]", lambda x: 0 <= x <= 1)
 
 
@@ -272,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     qa.add_argument("--mu", type=_mu, default=metrics.DEFAULT_THRESHOLD)
     qa.add_argument("--embedder", default="exact", choices=["exact", "hash"])
     qa.add_argument("--concurrency", type=_concurrency, default=1)
-    qa.add_argument("--neighbor-hops", type=_positive_int, default=pipeline.FALLBACK_HOPS)
-    qa.add_argument("--task5-hops", type=_positive_int, default=1)
     qa.set_defaults(func=cmd_qa)
 
     fx = commands.add_parser(
@@ -384,20 +381,12 @@ def write_manifest(
         outputs=tuple(sorted(str(p) for p in outputs)),
     )
     path = Path(args.output_dir) / MANIFEST_NAME
-    files.write_text_atomic(
-        path, json.dumps(manifest.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
-    )
+    files.write_json(path, manifest.to_dict(), indent=2)
     return path
 
 
 def load_manifest(path: str | Path) -> RunManifest:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"malformed manifest: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise DataError("malformed manifest: expected a JSON object")
-    return RunManifest.from_dict(raw)
+    return RunManifest.from_dict(files.read_json(path, DataError))
 
 
 def manifest_argv(manifest: RunManifest, *, output_dir: str | None = None) -> list[str]:
@@ -495,9 +484,7 @@ def _build_context(
         )
         inputs.extend([Path(args.train_concepts), Path(args.train_edges)])
     if args.wiki is not None:
-        raw = json.loads(Path(args.wiki).read_text(encoding="utf-8"))
-        if not isinstance(raw, dict):
-            raise DataError(f"wiki file {args.wiki} must hold a JSON object")
+        raw = files.read_json(args.wiki, DataError)
         wiki_pages = {normalize_name(key): str(value) for key, value in raw.items()}
         inputs.append(Path(args.wiki))
     if args.rag_index is not None:
@@ -598,9 +585,7 @@ def cmd_train(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
         "losses": list(losses),
     }
     report_path = _out(args, "train-report.json")
-    files.write_text_atomic(
-        report_path, json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    )
+    files.write_json(report_path, report, indent=2)
     return [Path(args.embeddings), Path(args.edges)], [checkpoint, report_path]
 
 
@@ -643,7 +628,7 @@ def cmd_eval(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
         )
 
     report_path = _out(args, "eval-report.json")
-    files.write_text_atomic(report_path, metrics.report_json(payload))
+    files.write_json(report_path, payload, indent=2)
     print(metrics.render_report(payload), end="")
     return [Path(args.predictions), Path(args.gold)], [report_path]
 
@@ -665,13 +650,7 @@ def cmd_qa(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
         answer_oracle = llm.LiveOracle(_live_config(args))
 
     results = pipeline.run_items(
-        items,
-        g,
-        command_oracle,
-        answer_oracle,
-        concurrency=args.concurrency,
-        neighbor_hops=args.neighbor_hops,
-        task5_hops=args.task5_hops,
+        items, g, command_oracle, answer_oracle, concurrency=args.concurrency
     )
     # each trace is written as its question finishes; only answers are kept
     answers: list[str] = []
@@ -740,7 +719,7 @@ def cmd_qa(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
             }
             name = f"qa-report-task{task}.json"
         path = _out(args, name)
-        files.write_text_atomic(path, metrics.report_json(payload))
+        files.write_json(path, payload, indent=2)
         outputs.append(path)
 
     inputs = [Path(args.concepts), Path(args.edges), Path(args.tutorqa)]

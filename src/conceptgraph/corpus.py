@@ -7,7 +7,6 @@ everything here is deterministic and serializable.
 """
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from collections.abc import Iterable, Sequence
@@ -143,10 +142,7 @@ class RetrievalIndex:
                 for d in self.documents
             ],
         }
-        text = json.dumps(
-            payload, ensure_ascii=False, sort_keys=True, indent=2, allow_nan=False
-        )
-        files.write_text_atomic(path, text + "\n")
+        files.write_json(path, payload, indent=2)
 
     @classmethod
     def load(cls, path: str | Path) -> "RetrievalIndex":

@@ -5,10 +5,12 @@ temporary file that is renamed over the target only after the whole
 content was written, so a crash or an unencodable row leaves the
 previous file as it was. JSON Lines files hold one JSON object per
 line, written with sorted keys and non-ASCII text kept as is; blank
-lines are skipped on reading. Versioned JSON documents carry "format"
-and "version" fields that readers check before using anything else.
-No writer in the package emits NaN or Infinity, which JSON does not
-allow: such a number raises ValueError instead.
+lines are skipped on reading. A JSON document is one object with
+sorted keys, non-ASCII text escaped and a final newline; versioned
+documents carry "format" and "version" fields that readers check
+before using anything else. No writer in the package emits NaN or
+Infinity, which JSON does not allow: such a number raises ValueError
+instead.
 """
 from __future__ import annotations
 
@@ -84,15 +86,37 @@ def read_jsonl(
             yield lineno, row
 
 
+def write_json(
+    path: str | Path, payload: Mapping[str, object], *, indent: int | None = None
+) -> None:
+    """Replace the file with payload as one JSON document, all or nothing.
+    A NaN or infinite number raises ValueError and leaves no file."""
+    text = json.dumps(payload, indent=indent, sort_keys=True, allow_nan=False)
+    write_text_atomic(path, text + "\n")
+
+
+def _load_json(path: str | Path, error: type[Exception]) -> object:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: not valid JSON: {exc}") from exc
+
+
+def read_json(path: str | Path, error: type[Exception]) -> dict[str, object]:
+    """Load a file holding one JSON object; anything else raises
+    error(message) naming the file."""
+    payload = _load_json(path, error)
+    if not isinstance(payload, dict):
+        raise error(f"{path}: expected a JSON object")
+    return payload
+
+
 def read_versioned_json(
     path: str | Path, fmt: str, version: int, error: type[Exception]
 ) -> dict[str, object]:
     """Load a JSON object whose "format" and "version" fields must match."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise error(f"{path}: not valid JSON: {exc}") from exc
+    payload = _load_json(path, error)
     if not isinstance(payload, dict) or payload.get("format") != fmt:
         raise error(f"{path}: missing format marker {fmt!r}")
     if payload.get("version") != version:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import json
 import math
 import random
 from collections import abc
@@ -222,7 +221,7 @@ class GcnModel:
             "w_layers": [w.tolist() for w in self.w_layers],
             "r": self.r.tolist(),
         }
-        files.write_text_atomic(path, json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
+        files.write_json(path, payload)
 
     @classmethod
     def load(cls, path: str | Path) -> "GcnModel":
@@ -523,7 +522,7 @@ class ConcatModel:
             "weights": self.weights.tolist(),
             "bias": self.bias,
         }
-        files.write_text_atomic(path, json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
+        files.write_json(path, payload)
 
     @classmethod
     def load(cls, path: str | Path) -> "ConcatModel":

@@ -28,8 +28,9 @@ from .pipeline import (
     read_command_prompt,
     read_grounding_prompt,
     read_proposal_prompt,
+    template_queries,
 )
-from .query import Neighbors, Prerequisites, Reachable, ShortestPath, render_query
+from .query import render_query
 from .recovery import BARE_PROMPT_CODES, read_pair_prompt
 from .textnorm import VocabularyMatcher, normalize_name, ordered_unique
 
@@ -276,11 +277,11 @@ class TemplateCommandOracle:
 
     Extracts concept mentions from the question with the shared
     vocabulary scanner (a VocabularyMatcher, such as
-    ConceptGraph.matcher, is used as is) and fills a fixed command shape
-    per task. With fewer mentions than the shape needs it falls back to
-    the literal name "unknown", which parses but fails concept
-    resolution, which is exactly what the pipeline's fallback path is
-    for.
+    ConceptGraph.matcher, is used as is) and writes the first query of
+    the pipeline's fallback template for them. With fewer mentions than
+    the template needs it uses the literal name "unknown", which parses
+    but fails concept resolution, which is exactly what the pipeline's
+    fallback path is for.
     """
 
     def __init__(self, vocabulary: Sequence[str] | VocabularyMatcher):
@@ -291,17 +292,11 @@ class TemplateCommandOracle:
         if read is None:
             raise UnrecognizedPrompt(f"not a command prompt: {prompt[:80]!r}")
         task, question = read
+        if task not in (1, 2, 3, 4):
+            raise UnrecognizedPrompt(f"task {task} prompts do not ask for a command")
         mentions = ordered_unique(self._matcher.scan(question))
-        first, second = (*mentions, "unknown", "unknown")[:2]
-        if task == 1:
-            return render_query(Reachable(first, second))
-        if task == 2:
-            return render_query(Prerequisites(first, 3))
-        if task == 3:
-            return render_query(ShortestPath(first, second))
-        if task == 4:
-            return render_query(Neighbors(first, "in", 2))
-        raise UnrecognizedPrompt(f"task {task} prompts do not ask for a command")
+        names = [*mentions, "unknown", "unknown"][:2]
+        return render_query(template_queries(task, names)[0])
 
 
 class GarbageCommandOracle:

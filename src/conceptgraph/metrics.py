@@ -8,7 +8,6 @@ judgments, and vocabulary mention counting in free text.
 from __future__ import annotations
 
 import hashlib
-import json
 import statistics
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
@@ -160,7 +159,8 @@ class SimilarityMatcher:
     """An embedding provider plus the match threshold.
 
     Two names match when their cosine similarity is strictly greater
-    than the threshold. Each distinct text is embedded once for the
+    than the threshold, which lies in (0, 1): at 1 nothing could match,
+    not even two equal names. Each distinct text is embedded once for the
     matcher's lifetime, so the embedder must be deterministic per text.
     """
 
@@ -171,9 +171,9 @@ class SimilarityMatcher:
     )
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.threshold <= 1.0):
+        if not (0.0 < self.threshold < 1.0):
             raise MetricsError(
-                f"threshold must be in (0, 1], got {self.threshold}"
+                f"threshold must be in (0, 1), got {self.threshold}"
             )
 
     def embed(self, text: str) -> np.ndarray:
@@ -434,8 +434,3 @@ def render_report(payload: Mapping[str, object]) -> str:
         shown = f"{value:.4f}" if isinstance(value, float) else str(value)
         lines.append(f"{str(key).ljust(width)}  {shown}")
     return "\n".join(lines) + "\n"
-
-
-def report_json(payload: Mapping[str, object]) -> str:
-    """Canonical JSON rendering of a report payload."""
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -41,6 +41,7 @@ Oracle = Callable[[str], str]
 
 FALLBACK_DEPTH = 3
 FALLBACK_HOPS = 2
+PROPOSAL_HOPS = 1
 QUESTION_MARKER = "***Question**:"
 PATH_MARKER = "***Path**:"
 NEIGHBORHOOD_MARKER = "***Neighborhood**:"
@@ -251,33 +252,29 @@ def _answer_grounded(prompt: str, outcome: QueryOutcome, oracle: Oracle) -> str:
     return "Yes" if verdict is Verdict.YES else "No"
 
 
-def _fallback_queries(item: TutorQaItem, names: list[str], hops: int) -> list[GraphQuery]:
-    if item.task == 1:
-        if len(names) < 2:
-            raise FallbackExhausted(
-                f"task 1 template needs two known concepts, found {len(names)}"
-            )
+def template_queries(task: int, names: Sequence[str]) -> list[GraphQuery]:
+    """The fixed queries for a task 1-4 question mentioning names, in order.
+
+    The fallback route runs them all; TemplateCommandOracle writes the
+    first as its command. Tasks 1 and 3 need two names, tasks 2 and 4
+    one; fewer raise FallbackExhausted.
+    """
+    wanted = 2 if task in (1, 3) else 1
+    if len(names) < wanted:
+        needs = "two known concepts" if wanted == 2 else "a known concept"
+        raise FallbackExhausted(f"task {task} template needs {needs}, found {len(names)}")
+    if task == 1:
         return [Reachable(names[0], names[1])]
-    if item.task == 2:
-        if not names:
-            raise FallbackExhausted("task 2 template needs a known concept")
+    if task == 2:
         return [Prerequisites(names[0], FALLBACK_DEPTH)]
-    if item.task == 3:
-        if len(names) < 2:
-            raise FallbackExhausted(
-                f"task 3 template needs two known concepts, found {len(names)}"
-            )
+    if task == 3:
         return [ShortestPath(names[0], names[1])]
-    if not names:
-        raise FallbackExhausted("task 4 template needs a known concept")
-    return [Neighbors(name, "in", hops) for name in names]
+    return [Neighbors(name, "in", FALLBACK_HOPS) for name in names]
 
 
-def _run_fallback(
-    item: TutorQaItem, graph: ConceptGraph, hops: int
-) -> tuple[GraphQuery, QueryOutcome]:
+def _run_fallback(item: TutorQaItem, graph: ConceptGraph) -> tuple[GraphQuery, QueryOutcome]:
     names = extract_concepts(item.question, graph.matcher)
-    queries = _fallback_queries(item, names, hops)
+    queries = template_queries(item.task, names)
     try:
         outcomes = [execute(query, graph) for query in queries]
     except UnknownConcept as exc:
@@ -292,9 +289,6 @@ def run_task(
     graph: ConceptGraph,
     command_oracle: Oracle,
     answer_oracle: Oracle,
-    *,
-    neighbor_hops: int = FALLBACK_HOPS,
-    task5_hops: int = 1,
 ) -> tuple[str, PipelineTrace]:
     """One question end to end: command, parse, execute, ground, answer.
 
@@ -303,7 +297,7 @@ def run_task(
     and the trace says so. Task 5 skips the query stage entirely.
     """
     if item.task == 5:
-        return run_task_5(item, graph, answer_oracle, hops=task5_hops)
+        return run_task_5(item, graph, answer_oracle)
     generated = generate_command(item.question, item.task, command_oracle)
     fallback_used = False
     try:
@@ -312,7 +306,7 @@ def run_task(
     except (QuerySyntaxError, UnknownConcept) as exc:
         fallback_used = True
         try:
-            query, outcome = _run_fallback(item, graph, neighbor_hops)
+            query, outcome = _run_fallback(item, graph)
         except FallbackExhausted as final:
             raise FallbackExhausted(
                 f"command {generated!r} failed ({exc}); {final}"
@@ -354,18 +348,15 @@ def read_proposal_prompt(prompt: str) -> tuple[str, tuple[str, ...]] | None:
 
 
 def run_task_5(
-    item: TutorQaItem,
-    graph: ConceptGraph,
-    answer_oracle: Oracle,
-    *,
-    hops: int = 1,
+    item: TutorQaItem, graph: ConceptGraph, answer_oracle: Oracle
 ) -> tuple[str, PipelineTrace]:
     """Open-ended proposal answering, grounded on concept neighborhoods.
 
     There is no command stage: the question's concept mentions are
-    expanded with their in- and out-neighborhoods and handed to the
-    oracle as context. The trace carries no query, and fallback_used is
-    true because the deterministic route is the only route.
+    expanded with their in- and out-neighborhoods of PROPOSAL_HOPS hops
+    and handed to the oracle as context. The trace carries no query,
+    and fallback_used is true because the deterministic route is the
+    only route.
     """
     if item.task != 5:
         raise PipelineError(f"run_task_5 got a task {item.task} item")
@@ -374,7 +365,7 @@ def run_task_5(
     for name in mentioned:
         concept = graph.resolve(name)
         for direction in ("out", "in"):
-            for path in graph.neighborhood_paths(concept.id, direction, hops).paths:
+            for path in graph.neighborhood_paths(concept.id, direction, PROPOSAL_HOPS).paths:
                 neighborhood.extend(graph.path_names(path))
     neighborhood = ordered_unique(neighborhood)
     prompt = build_proposal_prompt(item.question, neighborhood)
@@ -398,8 +389,6 @@ def run_items(
     answer_oracle: Oracle,
     *,
     concurrency: int = 1,
-    neighbor_hops: int = FALLBACK_HOPS,
-    task5_hops: int = 1,
 ) -> Iterator[tuple[str, PipelineTrace]]:
     """Yield (answer, trace) per item, in item order, as each finishes.
 
@@ -419,14 +408,7 @@ def run_items(
             )
 
     def one(item: TutorQaItem) -> tuple[str, PipelineTrace]:
-        return run_task(
-            item,
-            graph,
-            command_oracle,
-            answer_oracle,
-            neighbor_hops=neighbor_hops,
-            task5_hops=task5_hops,
-        )
+        return run_task(item, graph, command_oracle, answer_oracle)
 
     if concurrency == 1:
         return map(one, items)

@@ -323,7 +323,7 @@ def build_additional_info(
         index = context.retrieval_index
         if index is None:
             raise MissingContext("RAG variant needs context.retrieval_index")
-        hits = index.retrieve(f"{a.name} {b.name}", k=variant.rag_k or 3)
+        hits = index.retrieve(f"{a.name} {b.name}", k=variant.rag_k)
         if not hits:
             return ""
         limit = context.passage_char_limit

@@ -94,6 +94,20 @@ def test_unknown_variant_exits_1(workspace):
     assert main(recover_argv(workspace, "out", "--variant", "psychic")) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [('{"Probability": "chance"', "not valid JSON"), ('["Probability"]', "expected a JSON object")],
+    ids=["truncated", "array"],
+)
+def test_malformed_wiki_file_exits_2_and_names_the_file(workspace, capsys, text, problem):
+    wiki = workspace / "wiki.json"
+    wiki.write_text(text, encoding="utf-8")
+    argv = recover_argv(workspace, "out", "--variant", "zs-wiki", "--wiki", str(wiki))
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{wiki}: {problem}" in err
+
+
 def test_unknown_flag_exits_1(workspace):
     assert main(recover_argv(workspace, "out", "--warp-speed", "9")) == EXIT_CONFIG
 
@@ -520,7 +534,7 @@ def test_qa_refuses_a_concept_name_holding_a_semicolon(qa_workspace, monkeypatch
     assert not (qa_workspace / "out" / "answers.jsonl").exists()
 
 
-@pytest.mark.parametrize("mu", ["0", "-1", "1.5", "nan", "inf", "-inf", "high"])
+@pytest.mark.parametrize("mu", ["0", "-1", "1", "1.5", "nan", "inf", "-inf", "high"])
 def test_qa_checks_mu_before_any_oracle_call(qa_workspace, monkeypatch, capsys, mu):
     calls = []
     for oracle in (llm.TemplateCommandOracle, llm.GroundedAnswerOracle):
@@ -531,7 +545,7 @@ def test_qa_checks_mu_before_any_oracle_call(qa_workspace, monkeypatch, capsys, 
     assert not (qa_workspace / "out" / "answers.jsonl").exists()
 
 
-@pytest.mark.parametrize("mu", ["0", "nan", "inf", "1.5"])
+@pytest.mark.parametrize("mu", ["0", "nan", "inf", "1", "1.5"])
 def test_eval_checks_mu_at_parse_time(tmp_path, mu):
     for name in ("pred.txt", "gold.txt"):
         (tmp_path / name).write_text("Probability\n", encoding="utf-8")

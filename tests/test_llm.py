@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -32,7 +33,15 @@ from conceptgraph.llm import (
     complete,
     parse_pair_prompt,
 )
-from conceptgraph.pipeline import TutorQaItem, build_command_prompt, run_task
+from conceptgraph.pipeline import (
+    FallbackExhausted,
+    TutorQaItem,
+    build_command_prompt,
+    extract_concepts,
+    run_task,
+    template_queries,
+)
+from conceptgraph.query import parse_query
 from conceptgraph.recovery import (
     PromptVariant,
     RecoveryContext,
@@ -415,6 +424,24 @@ def test_template_command_oracle_rejects_non_command_prompts():
     oracle = TemplateCommandOracle(VOCAB)
     with pytest.raises(UnrecognizedPrompt):
         oracle("tell me a story")
+
+
+@pytest.mark.parametrize("task", [1, 2, 3, 4])
+def test_template_command_oracle_writes_the_first_fallback_query(task):
+    # the benchmark's qa check needs the template and the fallback to agree
+    oracle = TemplateCommandOracle(VOCAB)
+    rng = random.Random(task)
+    wanted = 2 if task in (1, 3) else 1
+    for count in (0, 1, 2, 3) * 5:
+        names = rng.sample(VOCAB, count)
+        question = f"Task {task}: how do {' and '.join(names) or 'these'} relate?"
+        assert extract_concepts(question, VOCAB) == names
+        if count < wanted:
+            with pytest.raises(FallbackExhausted):
+                template_queries(task, names)
+            continue
+        command = oracle(build_command_prompt(question, task))
+        assert parse_query(command) == template_queries(task, names)[0]
 
 
 def test_garbage_command_oracle():

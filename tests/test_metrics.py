@@ -14,6 +14,7 @@ from collections import Counter
 
 import pytest
 
+from conceptgraph import files
 from conceptgraph.metrics import (
     EmbedderFailure,
     EmptyList,
@@ -29,7 +30,6 @@ from conceptgraph.metrics import (
     confusion_counts,
     mean_similarity_f1,
     padded_cosine,
-    report_json,
     report_payload,
     render_report,
     similarity_f1,
@@ -300,6 +300,9 @@ def test_matcher_threshold_validation_and_strictness():
         SimilarityMatcher(ExactMatchEmbedder(), threshold=0.0)
     with pytest.raises(MetricsError):
         SimilarityMatcher(ExactMatchEmbedder(), threshold=1.2)
+    # matching is strict, so at 1 not even two equal names would match
+    with pytest.raises(MetricsError, match=r"\(0, 1\)"):
+        SimilarityMatcher(ExactMatchEmbedder(), threshold=1.0)
     # cosine exactly equal to the threshold must NOT match
     vectors = {"x": [1.0, 0.0], "y": [0.6, 0.8]}
     assert padded_cosine(vectors["x"], vectors["y"]) == pytest.approx(0.6)
@@ -599,8 +602,10 @@ def test_render_report_aligns_and_formats():
     assert render_report({}) == ""
 
 
-def test_report_json_is_stable():
+def test_report_json_is_stable(tmp_path):
     payload = report_payload(EvalReport(tp=1, fp=0, tn=1, fn=0), {"dataset": "toy"})
-    first = report_json(payload)
-    assert first == report_json(dict(reversed(list(payload.items()))))
+    files.write_json(tmp_path / "first.json", payload, indent=2)
+    files.write_json(tmp_path / "second.json", dict(reversed(list(payload.items()))), indent=2)
+    first = (tmp_path / "first.json").read_text(encoding="utf-8")
+    assert first == (tmp_path / "second.json").read_text(encoding="utf-8")
     assert first.endswith("\n")
