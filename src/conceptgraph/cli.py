@@ -9,11 +9,11 @@ Five subcommands cover the artifact's workflows:
     fixtures  turn judgment logs into replayable oracle fixtures
 
 Every run writes a manifest.json next to its outputs recording the
-subcommand, the effective flag values, sha256 digests of the input
-files, the seed, and the output paths. The manifest is the only file
-that carries a timestamp, so rerunning with identical inputs produces
-byte-identical primary outputs. replay_manifest() re-executes a run
-from its manifest alone.
+subcommand, the effective flag values, sha256 digests of every file the
+run read, the seed, and the paths it wrote. The manifest is the only
+file that carries a timestamp, so rerunning with identical inputs
+produces byte-identical primary outputs. replay_manifest() re-executes
+a run from its manifest alone once its inputs match their digests.
 
 Exit codes: 0 success, 1 configuration error (bad flags, bad config
 file, unusable oracle spec), 2 data error (missing or malformed input
@@ -342,17 +342,14 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, raw: dict[str, object]) -> "RunManifest":
-        try:
-            return cls(
-                subcommand=str(raw["subcommand"]),
-                config=dict(raw["config"]),  # type: ignore[arg-type]
-                inputs=dict(raw["inputs"]),  # type: ignore[arg-type]
-                seed=int(raw["seed"]),  # type: ignore[call-overload]
-                timestamp=str(raw["timestamp"]),
-                outputs=tuple(str(p) for p in raw["outputs"]),  # type: ignore[union-attr]
-            )
-        except (KeyError, TypeError) as exc:
-            raise DataError(f"malformed manifest: {exc}") from exc
+        return cls(
+            subcommand=str(raw["subcommand"]),
+            config=dict(raw["config"]),  # type: ignore[arg-type]
+            inputs=dict(raw["inputs"]),  # type: ignore[arg-type]
+            seed=int(raw["seed"]),  # type: ignore[call-overload]
+            timestamp=str(raw["timestamp"]),
+            outputs=tuple(str(p) for p in raw["outputs"]),  # type: ignore[union-attr]
+        )
 
 
 def sha256_digest(path: str | Path) -> str:
@@ -386,7 +383,12 @@ def write_manifest(
 
 
 def load_manifest(path: str | Path) -> RunManifest:
-    return RunManifest.from_dict(files.read_json(path, DataError))
+    try:
+        return RunManifest.from_dict(files.read_json(path, DataError))
+    except KeyError as exc:
+        raise DataError(f"{path}: malformed manifest: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed manifest: {exc}") from None
 
 
 def manifest_argv(manifest: RunManifest, *, output_dir: str | None = None) -> list[str]:
@@ -404,8 +406,15 @@ def manifest_argv(manifest: RunManifest, *, output_dir: str | None = None) -> li
 
 
 def replay_manifest(path: str | Path, *, output_dir: str | None = None) -> int:
-    """Re-execute the run a manifest describes; returns the exit status."""
+    """Re-execute the run a manifest describes; returns the exit status.
+    A changed, missing or unreadable input raises DataError first."""
     manifest = load_manifest(path)
+    for name, digest in manifest.inputs.items():
+        try:
+            if sha256_digest(name) != digest:
+                raise DataError(f"{path}: input {name} changed since the run")
+        except OSError as exc:
+            raise DataError(f"{path}: cannot read input {name}: {exc.strerror}") from None
     return main(manifest_argv(manifest, output_dir=output_dir))
 
 
@@ -424,22 +433,18 @@ def _live_config(args: argparse.Namespace) -> llm.OracleConfig:
     )
 
 
-def _build_recover_oracle(
-    args: argparse.Namespace, concepts: list[graph.Concept]
-) -> tuple[object, list[Path]]:
-    """Oracle callable plus any fixture files it reads."""
+def _build_recover_oracle(args: argparse.Namespace, concepts: list[graph.Concept]) -> object:
     spec = args.oracle
     if spec == "echo":
-        return llm.EchoOracle(), []
+        return llm.EchoOracle()
     if spec == "live":
-        return llm.LiveOracle(_live_config(args)), []
+        return llm.LiveOracle(_live_config(args))
     kind, sep, path = spec.partition(":")
     if sep and kind == "mock-graph":
         hidden = graph.build_graph(concepts, graph.load_edge_rows(path))
-        oracle = llm.GraphBackedOracle(hidden, flip_probability=args.flip_p, seed=args.seed)
-        return oracle, [Path(path)]
+        return llm.GraphBackedOracle(hidden, flip_probability=args.flip_p, seed=args.seed)
     if sep and kind == "mock-script":
-        return llm.ScriptedOracle.from_jsonl(path), [Path(path)]
+        return llm.ScriptedOracle.from_jsonl(path)
     raise ConfigError(
         f"unknown oracle {spec!r}; expected echo, live, mock-graph:PATH, or mock-script:PATH"
     )
@@ -463,10 +468,7 @@ def _build_plan(args: argparse.Namespace) -> recovery.SamplingPlan:
     raise ConfigError(f"unknown pair plan {spec!r}; expected all or balanced:N")
 
 
-def _build_context(
-    args: argparse.Namespace,
-) -> tuple[recovery.RecoveryContext | None, list[Path]]:
-    inputs: list[Path] = []
+def _build_context(args: argparse.Namespace) -> recovery.RecoveryContext | None:
     documents: tuple[corpus.CorpusDocument, ...] = ()
     training_graph = None
     wiki_pages = None
@@ -474,7 +476,6 @@ def _build_context(
     if args.documents is not None:
         path = Path(args.documents)
         documents = tuple(corpus.ingest(files.read_lines(path), source=path.name))
-        inputs.append(path)
     if (args.train_concepts is None) != (args.train_edges is None):
         raise ConfigError("--train-concepts and --train-edges go together")
     if args.train_concepts is not None:
@@ -482,25 +483,20 @@ def _build_context(
             graph.load_concepts(args.train_concepts),
             graph.load_edge_rows(args.train_edges),
         )
-        inputs.extend([Path(args.train_concepts), Path(args.train_edges)])
     if args.wiki is not None:
         raw = files.read_json(args.wiki, DataError)
         wiki_pages = {normalize_name(key): str(value) for key, value in raw.items()}
-        inputs.append(Path(args.wiki))
     if args.rag_index is not None:
         retrieval_index = corpus.RetrievalIndex.load(args.rag_index)
-        inputs.append(Path(args.rag_index))
-    if not inputs and args.passage_chars is None:
-        return None, []
-    return (
-        recovery.RecoveryContext(
-            documents=documents,
-            training_graph=training_graph,
-            wiki_pages=wiki_pages,
-            retrieval_index=retrieval_index,
-            passage_char_limit=args.passage_chars,
-        ),
-        inputs,
+    flags = (args.documents, args.train_concepts, args.wiki, args.rag_index, args.passage_chars)
+    if all(flag is None for flag in flags):
+        return None
+    return recovery.RecoveryContext(
+        documents=documents,
+        training_graph=training_graph,
+        wiki_pages=wiki_pages,
+        retrieval_index=retrieval_index,
+        passage_char_limit=args.passage_chars,
     )
 
 
@@ -513,11 +509,9 @@ def _out(args: argparse.Namespace, name: str) -> Path:
 # -- subcommands -----------------------------------------------------------------
 
 
-def cmd_recover(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
+def cmd_recover(args: argparse.Namespace) -> None:
     concepts = graph.load_concepts(args.concepts)
-    inputs = [Path(args.concepts)]
-    oracle, oracle_inputs = _build_recover_oracle(args, concepts)
-    inputs.extend(oracle_inputs)
+    oracle = _build_recover_oracle(args, concepts)
     try:
         variant = recovery.PromptVariant(recovery.variant_from_code(args.variant), args.rag_k)
     except recovery.RecoveryError as exc:  # bad flag value, not bad data
@@ -526,9 +520,7 @@ def cmd_recover(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
     labels = None
     if args.labels is not None:
         labels = graph.load_edge_rows(args.labels)
-        inputs.append(Path(args.labels))
-    context, context_inputs = _build_context(args)
-    inputs.extend(context_inputs)
+    context = _build_context(args)
 
     result = recovery.recover_graph(
         concepts,
@@ -541,15 +533,12 @@ def cmd_recover(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
         concurrency=args.concurrency,
     )
 
-    edges_path = _out(args, "recovered-edges.tsv")
     rows = [graph.EdgeRow(a, b) for a, b in sorted(result.graph.edges)]
-    graph.save_edge_rows(rows, edges_path)
-    judgments_path = _out(args, "judgments.jsonl")
-    recovery.save_judgments(result.judgments, judgments_path)
-    return inputs, [edges_path, judgments_path]
+    graph.save_edge_rows(rows, _out(args, "recovered-edges.tsv"))
+    recovery.save_judgments(result.judgments, _out(args, "judgments.jsonl"))
 
 
-def cmd_train(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
+def cmd_train(args: argparse.Namespace) -> None:
     store = linkpred.EmbeddingStore.load_jsonl(args.embeddings)
     rows = [
         (row.source, row.target, 1 if row.label is None else row.label)
@@ -568,12 +557,10 @@ def cmd_train(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
             store, rows, config, proj_width=args.proj_width, layer_widths=widths
         )
         losses = result.losses
-        checkpoint = _out(args, "gcn-checkpoint.json")
-        result.model.save(checkpoint)
+        result.model.save(_out(args, "gcn-checkpoint.json"))
     else:
         model, losses = linkpred.train_concat(store, rows, config)
-        checkpoint = _out(args, "concat-checkpoint.json")
-        model.save(checkpoint)
+        model.save(_out(args, "concat-checkpoint.json"))
 
     report = {
         "model": args.model,
@@ -584,9 +571,7 @@ def cmd_train(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
         "final_loss": losses[-1],
         "losses": list(losses),
     }
-    report_path = _out(args, "train-report.json")
-    files.write_json(report_path, report, indent=2)
-    return [Path(args.embeddings), Path(args.edges)], [checkpoint, report_path]
+    files.write_json(_out(args, "train-report.json"), report, indent=2)
 
 
 def _make_embedder(kind: str, seed: int):
@@ -595,7 +580,7 @@ def _make_embedder(kind: str, seed: int):
     return metrics.ExactMatchEmbedder()
 
 
-def cmd_eval(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
+def cmd_eval(args: argparse.Namespace) -> None:
     predictions = files.read_lines(args.predictions)
     gold = files.read_lines(args.gold)
     metadata: dict[str, object] = {"mode": args.mode}
@@ -627,13 +612,11 @@ def cmd_eval(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
             }
         )
 
-    report_path = _out(args, "eval-report.json")
-    files.write_json(report_path, payload, indent=2)
+    files.write_json(_out(args, "eval-report.json"), payload, indent=2)
     print(metrics.render_report(payload), end="")
-    return [Path(args.predictions), Path(args.gold)], [report_path]
 
 
-def cmd_qa(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
+def cmd_qa(args: argparse.Namespace) -> None:
     concepts = graph.load_concepts(args.concepts)
     g = graph.build_graph(concepts, graph.load_edge_rows(args.edges))
     items = pipeline.load_tutorqa(args.tutorqa)
@@ -660,16 +643,12 @@ def cmd_qa(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
             answers.append(answer)
             yield trace
 
-    answers_path = _out(args, "answers.jsonl")
-    outputs = [answers_path]
     if args.trace == "on":
-        traces_path = _out(args, "traces.jsonl")
-        pipeline.save_traces(traces(), traces_path)
-        outputs.append(traces_path)
+        pipeline.save_traces(traces(), _out(args, "traces.jsonl"))
     else:
         answers.extend(answer for answer, _trace in results)
     files.write_jsonl(
-        answers_path,
+        _out(args, "answers.jsonl"),
         (
             {"task": item.task, "question": item.question, "answer": answer}
             for item, answer in zip(items, answers)
@@ -718,15 +697,10 @@ def cmd_qa(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
                 "s_f1": s_f1,
             }
             name = f"qa-report-task{task}.json"
-        path = _out(args, name)
-        files.write_json(path, payload, indent=2)
-        outputs.append(path)
-
-    inputs = [Path(args.concepts), Path(args.edges), Path(args.tutorqa)]
-    return inputs, outputs
+        files.write_json(_out(args, name), payload, indent=2)
 
 
-def cmd_fixtures(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
+def cmd_fixtures(args: argparse.Namespace) -> None:
     judgments = recovery.canonicalize_judgments(recovery.load_judgments(args.judgments))
     by_id = {c.id: c for c in graph.load_concepts(args.concepts)}
     rows = []
@@ -746,9 +720,7 @@ def cmd_fixtures(args: argparse.Namespace) -> tuple[list[Path], list[Path]]:
                 "response": judgment.raw_response,
             }
         )
-    fixtures_path = _out(args, "fixtures.jsonl")
-    files.write_jsonl(fixtures_path, rows)
-    return [Path(args.judgments), Path(args.concepts)], [fixtures_path]
+    files.write_jsonl(_out(args, "fixtures.jsonl"), rows)
 
 
 # -- entry point -----------------------------------------------------------------
@@ -759,9 +731,10 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         args = _parse_argv(list(argv))
-        inputs, outputs = args.func(args)
-        manifest_path = write_manifest(args, inputs, outputs)
-        for path in [*outputs, manifest_path]:
+        with files.recording() as (read, written):
+            args.func(args)
+        manifest_path = write_manifest(args, read, written)
+        for path in [*written, manifest_path]:
             print(f"wrote {path}")
         return EXIT_OK
     except SystemExit as exc:  # --help / --version print and stop

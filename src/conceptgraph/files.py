@@ -10,7 +10,7 @@ sorted keys, non-ASCII text escaped and a final newline; versioned
 documents carry "format" and "version" fields that readers check
 before using anything else. No writer in the package emits NaN or
 Infinity, which JSON does not allow: such a number raises ValueError
-instead.
+instead. A recording() block notes every path read or written here.
 """
 from __future__ import annotations
 
@@ -18,8 +18,29 @@ import json
 import os
 from collections.abc import Iterable, Iterator, Mapping
 from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
 from typing import IO
+
+_RECORD: ContextVar[tuple[list[Path], list[Path]] | None] = ContextVar("record", default=None)
+
+
+@contextmanager
+def recording() -> Iterator[tuple[list[Path], list[Path]]]:
+    """Yield (read, written): the paths read and written here while the
+    block runs, in first-use order without repeats. A write is noted once
+    its file is in place. Only the calling thread is recorded."""
+    token = _RECORD.set(([], []))
+    try:
+        yield _RECORD.get()
+    finally:
+        _RECORD.reset(token)
+
+
+def _note(path: str | Path, *, written: bool = False) -> None:
+    record = _RECORD.get()
+    if record is not None and Path(path) not in record[written]:
+        record[written].append(Path(path))
 
 
 @contextmanager
@@ -33,6 +54,7 @@ def _replacing(path: str | Path) -> Iterator[IO[str]]:
         tmp.unlink(missing_ok=True)
         raise
     os.replace(tmp, path)
+    _note(path, written=True)
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -61,6 +83,7 @@ def read_lines(path: str | Path) -> list[str]:
     a line.
     """
     with open(path, encoding="utf-8") as fh:
+        _note(path)
         return [line.removesuffix("\n") for line in fh]
 
 
@@ -74,6 +97,7 @@ def read_jsonl(
     that is not a JSON object raises error(message).
     """
     with open(path, encoding="utf-8") as fh:
+        _note(path)
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -98,6 +122,7 @@ def write_json(
 def _load_json(path: str | Path, error: type[Exception]) -> object:
     try:
         with open(path, encoding="utf-8") as fh:
+            _note(path)
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise error(f"{path}: not valid JSON: {exc}") from exc

@@ -54,6 +54,12 @@ def write_edges(path: Path, pairs=EDGES) -> Path:
     return path
 
 
+def write_labels(path: Path) -> Path:
+    rows = [f"c{a}\tc{b}\t1\n" for a, b in EDGES] + ["c2\tc0\t0\n", "c5\tc3\t0\n"]
+    path.write_text("".join(rows), encoding="utf-8")
+    return path
+
+
 @pytest.fixture()
 def workspace(tmp_path):
     write_concepts(tmp_path / "concepts.tsv")
@@ -227,11 +233,160 @@ def test_replay_manifest_reproduces_outputs(workspace):
         ).read_bytes()
 
 
+def test_replay_refuses_a_changed_or_missing_input(tmp_path, monkeypatch):
+    write_concepts(tmp_path / "concepts.tsv", [f"Concept {i}" for i in range(40)])
+    argv = [
+        "recover",
+        "--concepts",
+        str(tmp_path / "concepts.tsv"),
+        "--oracle",
+        "echo",
+        "--concurrency",
+        "1",
+        "--output-dir",
+        str(tmp_path / "a"),
+    ]
+    assert main(argv) == EXIT_OK
+    assert len((tmp_path / "a" / "judgments.jsonl").read_text().splitlines()) == 40 * 39
+    calls = []
+    echo = llm.EchoOracle.__call__
+    monkeypatch.setattr(llm.EchoOracle, "__call__", lambda self, p: calls.append(p) or echo(self, p))
+    manifest = tmp_path / "a" / "manifest.json"
+    concepts = tmp_path / "concepts.tsv"
+    lines = concepts.read_text(encoding="utf-8").splitlines(keepends=True)
+    concepts.write_text("".join(lines[:30]), encoding="utf-8")
+    with pytest.raises(cli.DataError, match="changed since the run") as caught:
+        replay_manifest(manifest, output_dir=str(tmp_path / "b"))
+    assert str(manifest) in str(caught.value) and str(concepts) in str(caught.value)
+    concepts.unlink()
+    with pytest.raises(cli.DataError, match="cannot read input") as caught:
+        replay_manifest(manifest, output_dir=str(tmp_path / "b"))
+    assert str(manifest) in str(caught.value) and str(concepts) in str(caught.value)
+    assert calls == []
+    assert not (tmp_path / "b").exists()
+
+
+def _rich_recover_run(ws: Path) -> tuple[list[str], list[Path], list[str]]:
+    words = " ".join(f"filler{i}" for i in range(30))
+    lines = [f"{name} is taught here {words}" for name in NAMES]
+    (ws / "corpus.txt").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    RetrievalIndex(ingest(lines)).save(ws / "index.json")
+    (ws / "wiki.json").write_text(json.dumps({NAMES[0]: "chance"}), encoding="utf-8")
+    write_concepts(ws / "train-concepts.tsv")
+    write_edges(ws / "train-edges.tsv", EDGES[:2])
+    write_labels(ws / "labels.tsv")
+    argv = recover_argv(
+        ws, "out",
+        "--pairs", "balanced:2",
+        "--labels", str(ws / "labels.tsv"),
+        "--documents", str(ws / "corpus.txt"),
+        "--train-concepts", str(ws / "train-concepts.tsv"),
+        "--train-edges", str(ws / "train-edges.tsv"),
+        "--wiki", str(ws / "wiki.json"),
+        "--variant", "zs-rag",
+        "--rag-index", str(ws / "index.json"),
+    )
+    read = [
+        "concepts.tsv", "hidden.tsv", "labels.tsv", "corpus.txt",
+        "train-concepts.tsv", "train-edges.tsv", "wiki.json", "index.json",
+    ]
+    return argv, [ws / name for name in read], ["recovered-edges.tsv", "judgments.jsonl"]
+
+
+def _scripted_recover_run(ws: Path) -> tuple[list[str], list[Path], list[str]]:
+    assert main(recover_argv(ws, "a")) == EXIT_OK
+    assert main(_fixtures_argv(ws, ws / "a" / "judgments.jsonl", "fx")) == EXIT_OK
+    argv = recover_argv(ws, "out")
+    argv[4] = f"mock-script:{ws / 'fx' / 'fixtures.jsonl'}"
+    read = [ws / "concepts.tsv", ws / "fx" / "fixtures.jsonl"]
+    return argv, read, ["recovered-edges.tsv", "judgments.jsonl"]
+
+
+def _train_run(ws: Path) -> tuple[list[str], list[Path], list[str]]:
+    write_embeddings(ws / "emb.jsonl", NAMES)
+    pairs = [f"{NAMES[a]}\t{NAMES[b]}\t1\n" for a, b in EDGES] + [f"{NAMES[2]}\t{NAMES[0]}\t0\n"]
+    (ws / "pairs.tsv").write_text("".join(pairs), encoding="utf-8")
+    argv = train_argv(ws, "out", "--model", "concat")
+    return argv, [ws / "emb.jsonl", ws / "pairs.tsv"], ["concat-checkpoint.json", "train-report.json"]
+
+
+def _eval_run(ws: Path) -> tuple[list[str], list[Path], list[str]]:
+    (ws / "pred.txt").write_text("Probability\n", encoding="utf-8")
+    (ws / "gold.txt").write_text("Probability; Syntax Trees\n", encoding="utf-8")
+    argv = [
+        "eval",
+        "--predictions", str(ws / "pred.txt"),
+        "--gold", str(ws / "gold.txt"),
+        "--mode", "list",
+        "--output-dir", str(ws / "out"),
+    ]
+    return argv, [ws / "pred.txt", ws / "gold.txt"], ["eval-report.json"]
+
+
+def _qa_run(trace: str):
+    def run(ws: Path) -> tuple[list[str], list[Path], list[str]]:
+        write_edges(ws / "edges.tsv")
+        write_tutorqa(ws / "tutorqa.jsonl")
+        written = ["answers.jsonl", "qa-report-task1.json", "qa-report-task3.json"]
+        written += ["qa-mentions-task5.json"] + (["traces.jsonl"] if trace == "on" else [])
+        read = [ws / "concepts.tsv", ws / "edges.tsv", ws / "tutorqa.jsonl"]
+        return qa_argv(ws, "out", "--trace", trace, "--concurrency", "2"), read, written
+
+    return run
+
+
+def _fixtures_argv(ws: Path, judgments: Path, out: str) -> list[str]:
+    return [
+        "fixtures",
+        "--judgments", str(judgments),
+        "--concepts", str(ws / "concepts.tsv"),
+        "--output-dir", str(ws / out),
+    ]
+
+
+def _fixtures_run(ws: Path) -> tuple[list[str], list[Path], list[str]]:
+    assert main(recover_argv(ws, "a")) == EXIT_OK
+    judgments = ws / "a" / "judgments.jsonl"
+    return _fixtures_argv(ws, judgments, "out"), [judgments, ws / "concepts.tsv"], ["fixtures.jsonl"]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _rich_recover_run,
+        _scripted_recover_run,
+        _train_run,
+        _eval_run,
+        _qa_run("on"),
+        _qa_run("off"),
+        _fixtures_run,
+    ],
+    ids=["recover-all-inputs", "recover-mock-script", "train", "eval", "qa-trace-on", "qa-trace-off", "fixtures"],
+)
+def test_manifest_lists_exactly_what_the_run_read_and_wrote(workspace, capsys, build):
+    argv, read, written = build(workspace)
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK, capsys.readouterr().err
+    out = workspace / "out"
+    manifest = load_manifest(out / "manifest.json")
+    assert manifest.inputs == {str(path): sha256_digest(path) for path in read}
+    assert manifest.outputs == tuple(sorted(str(out / name) for name in written))
+    assert {path.name for path in out.iterdir()} == {*written, "manifest.json"}
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote ")]
+    assert sorted(printed[:-1]) == sorted(f"wrote {out / name}" for name in written)
+    assert printed[-1] == f"wrote {out / 'manifest.json'}"
+
+
 def test_replay_rejects_malformed_manifest(tmp_path):
     bad = tmp_path / "manifest.json"
     bad.write_text('{"subcommand": "recover"}', encoding="utf-8")
-    with pytest.raises(cli.DataError):
+    with pytest.raises(cli.DataError, match="missing key 'config'") as caught:
         replay_manifest(bad)
+    assert str(bad) in str(caught.value)
+    bad.write_text("{}", encoding="utf-8")
+    with pytest.raises(cli.DataError, match="missing key 'subcommand'") as caught:
+        replay_manifest(bad)
+    assert str(bad) in str(caught.value)
     bad.write_text("not json", encoding="utf-8")
     with pytest.raises(cli.DataError):
         replay_manifest(bad)
@@ -396,8 +551,9 @@ def test_documents_line_holding_u2028_is_one_document(workspace):
     corpus_path = workspace / "corpus.txt"
     corpus_path.write_text(f"{half}\u2028{half}\n{half}\r\n", encoding="utf-8")
     args = cli._parse_argv(recover_argv(workspace, "out", "--documents", str(corpus_path)))
-    context, inputs = cli._build_context(args)
-    assert inputs == [corpus_path]
+    with files.recording() as (read, _written):
+        context = cli._build_context(args)
+    assert read == [corpus_path]
     assert [doc.text for doc in context.documents] == [f"{half}\u2028{half}", half]
 
 
@@ -736,6 +892,49 @@ def test_oracle_and_thread_flags_are_checked_at_parse_time(
     assert flag in err
     assert calls == []
     assert not (qa_workspace / "out").exists()
+
+
+NUMERIC_FLAGS = [
+    ("recover", flag)
+    for flag in (
+        "--seed", "--rag-k", "--flip-p", "--concurrency", "--passage-chars", "--pairs",
+        "--temperature", "--timeout", "--max-retries",
+    )
+] + [
+    ("qa", flag)
+    for flag in ("--seed", "--mu", "--concurrency", "--temperature", "--timeout", "--max-retries")
+] + [("eval", "--seed"), ("eval", "--mu")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "1e308"])
+@pytest.mark.parametrize("command, flag", NUMERIC_FLAGS)
+def test_numeric_flags_never_crash_or_write_non_finite_numbers(
+    qa_workspace, capsys, command, flag, value
+):
+    ws = qa_workspace
+    if command == "recover":
+        write_labels(ws / "labels.tsv")
+        RetrievalIndex(ingest([f"{name} is taught here" for name in NAMES])).save(ws / "index.json")
+        argv = recover_argv(
+            ws, "out", "--labels", str(ws / "labels.tsv"), "--pairs", "balanced:2",
+            "--variant", "zs-rag", "--rag-index", str(ws / "index.json"),
+        )
+    elif command == "qa":
+        argv = qa_argv(ws, "out", "--embedder", "hash")
+    else:
+        (ws / "pred.txt").write_text("Probability; Syntax Trees\n", encoding="utf-8")
+        (ws / "gold.txt").write_text("Probability\n", encoding="utf-8")
+        argv = [
+            "eval", "--predictions", str(ws / "pred.txt"), "--gold", str(ws / "gold.txt"),
+            "--mode", "list", "--embedder", "hash", "--output-dir", str(ws / "out"),
+        ]
+    code = main([*argv, flag, f"balanced:{value}" if flag == "--pairs" else value])
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA), err
+    assert "Traceback" not in err
+    for path in (ws / "out").glob("*"):
+        text = path.read_text(encoding="utf-8")
+        assert "NaN" not in text and "Infinity" not in text, path.name
 
 
 @pytest.mark.parametrize("ratio", ["1e308", "1e6"])

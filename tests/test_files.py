@@ -1,9 +1,11 @@
 """The shared writers: JSON Lines bytes, atomic replacement, and no NaN."""
 from __future__ import annotations
 
+import ast
 import json
 import math
 import re
+import threading
 from pathlib import Path
 
 import pytest
@@ -56,3 +58,55 @@ def test_json_is_encoded_and_decoded_only_in_files():
         if call.search(line)
     ]
     assert offenders == []
+
+
+def test_files_are_opened_only_in_files():
+    # a reader that opens its own file would escape files.recording(), and
+    # a manifest would then miss an input; sha256_digest hashes the inputs
+    # after the run, so it opens them unrecorded on purpose
+    call = re.compile(r"\b(open|read_text|read_bytes|write_text|write_bytes)\(")
+    package = Path(files.__file__).parent
+    cli_source = (package / "cli.py").read_text(encoding="utf-8")
+    digest = next(
+        node
+        for node in ast.parse(cli_source).body
+        if isinstance(node, ast.FunctionDef) and node.name == "sha256_digest"
+    )
+    allowed = {("cli.py", n) for n in range(digest.lineno, digest.end_lineno + 1)}
+    offenders = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "files.py"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if call.search(line) and (path.name, number) not in allowed
+    ]
+    assert offenders == []
+
+
+def test_recording_lists_each_path_once_in_first_use_order(tmp_path):
+    a, b, c = (tmp_path / name for name in ("a.jsonl", "b.json", "c.txt"))
+    files.write_jsonl(a, ROWS)  # outside any block: not recorded
+    with files.recording() as (read, written):
+        files.write_json(b, {"k": 1})
+        files.write_text_atomic(c, "x\n")
+        files.write_json(b, {"k": 2})
+        assert [row for _, row in files.read_jsonl(a, ValueError)] == ROWS
+        assert files.read_json(b, ValueError) == {"k": 2}
+        files.read_lines(c)
+        files.read_lines(a)
+        with pytest.raises(ValueError):
+            files.write_json(tmp_path / "bad.json", {"x": math.nan})
+        with pytest.raises(FileNotFoundError):
+            files.read_lines(tmp_path / "absent.txt")
+        worker = threading.Thread(target=files.read_lines, args=(c,))
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        worker = threading.Thread(target=files.write_text_atomic, args=(tmp_path / "t.txt", ""))
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+    assert read == [a, b, c]
+    assert written == [b, c]
+    files.read_lines(c)
+    assert read == [a, b, c]
