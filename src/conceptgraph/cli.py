@@ -10,10 +10,11 @@ Five subcommands cover the artifact's workflows:
 
 Every run writes a manifest.json next to its outputs recording the
 subcommand, the effective flag values, sha256 digests of every file the
-run read, the seed, and the paths it wrote. The manifest is the only
-file that carries a timestamp, so rerunning with identical inputs
-produces byte-identical primary outputs. replay_manifest() re-executes
-a run from its manifest alone once its inputs match their digests.
+run read, the seed, the paths it wrote and the directory it ran in. The
+manifest is the only file that carries a timestamp, so rerunning with
+identical inputs produces byte-identical primary outputs.
+replay_manifest() re-executes a run from its manifest alone, in the
+directory the run was made in, once its inputs match their digests.
 
 Exit codes: 0 success, 1 configuration error (bad flags, bad config
 file, unusable oracle spec), 2 data error (missing or malformed input
@@ -31,7 +32,6 @@ config key and never reaches a manifest.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import statistics
 import sys
@@ -124,12 +124,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise ConfigError(message)
-
-
-def _on_off(value: str) -> str:
-    if value not in ("on", "off"):
-        raise argparse.ArgumentTypeError(f"expected 'on' or 'off', got {value!r}")
-    return value
 
 
 def _int_flag(wanted: str, check: Callable[[int], bool]) -> Callable[[str], int]:
@@ -254,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--mode", default="binary", choices=["binary", "list"])
     ev.add_argument("--mu", type=_mu, default=metrics.DEFAULT_THRESHOLD)
     ev.add_argument("--embedder", default="exact", choices=["exact", "hash"])
-    ev.add_argument("--one-to-one", type=_on_off, default="off")
+    ev.add_argument("--one-to-one", default="off", choices=["on", "off"])
     ev.add_argument("--dataset", default=None, help="metadata echoed into the report")
     ev.add_argument("--variant", default=None, help="metadata echoed into the report")
     ev.set_defaults(func=cmd_eval)
@@ -267,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     qa.add_argument("--tutorqa", required=True, help="question JSONL")
     qa.add_argument("--command-oracle", default="template", choices=["template", "garbage", "live"])
     qa.add_argument("--answer-oracle", default="grounded", choices=["grounded", "live"])
-    qa.add_argument("--trace", type=_on_off, default="on")
+    qa.add_argument("--trace", default="on", choices=["on", "off"])
     qa.add_argument("--mu", type=_mu, default=metrics.DEFAULT_THRESHOLD)
     qa.add_argument("--embedder", default="exact", choices=["exact", "hash"])
     qa.add_argument("--concurrency", type=_concurrency, default=1)
@@ -329,6 +323,8 @@ class RunManifest:
     seed: int
     timestamp: str
     outputs: tuple[str, ...]
+    # the absolute directory the run was made in; None in older manifests
+    cwd: str | None = None
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -338,6 +334,7 @@ class RunManifest:
             "seed": self.seed,
             "timestamp": self.timestamp,
             "outputs": list(self.outputs),
+            "cwd": self.cwd,
         }
 
     @classmethod
@@ -349,15 +346,8 @@ class RunManifest:
             seed=int(raw["seed"]),  # type: ignore[call-overload]
             timestamp=str(raw["timestamp"]),
             outputs=tuple(str(p) for p in raw["outputs"]),  # type: ignore[union-attr]
+            cwd=None if raw.get("cwd") is None else str(raw["cwd"]),
         )
-
-
-def sha256_digest(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(65536), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 def _config_snapshot(args: argparse.Namespace) -> dict[str, object]:
@@ -372,10 +362,11 @@ def write_manifest(
     manifest = RunManifest(
         subcommand=args.command,
         config=snapshot,
-        inputs={str(p): sha256_digest(p) for p in inputs},
+        inputs={str(p): files.sha256_digest(p) for p in inputs},
         seed=int(snapshot.get("seed", 0)),
         timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         outputs=tuple(sorted(str(p) for p in outputs)),
+        cwd=str(Path.cwd()),
     )
     path = Path(args.output_dir) / MANIFEST_NAME
     files.write_json(path, manifest.to_dict(), indent=2)
@@ -407,11 +398,14 @@ def manifest_argv(manifest: RunManifest, *, output_dir: str | None = None) -> li
 
 def replay_manifest(path: str | Path, *, output_dir: str | None = None) -> int:
     """Re-execute the run a manifest describes; returns the exit status.
-    A changed, missing or unreadable input raises DataError first."""
+    A replay from another directory than the run's, or a changed, missing
+    or unreadable input, raises DataError first."""
     manifest = load_manifest(path)
+    if manifest.cwd is not None and Path.cwd() != Path(manifest.cwd):
+        raise DataError(f"{path}: replay from {manifest.cwd}, the directory the run was made in")
     for name, digest in manifest.inputs.items():
         try:
-            if sha256_digest(name) != digest:
+            if files.sha256_digest(name) != digest:
                 raise DataError(f"{path}: input {name} changed since the run")
         except OSError as exc:
             raise DataError(f"{path}: cannot read input {name}: {exc.strerror}") from None
@@ -574,10 +568,10 @@ def cmd_train(args: argparse.Namespace) -> None:
     files.write_json(_out(args, "train-report.json"), report, indent=2)
 
 
-def _make_embedder(kind: str, seed: int):
-    if kind == "hash":
-        return metrics.HashEmbedder(seed=seed)
-    return metrics.ExactMatchEmbedder()
+def _make_matcher(args: argparse.Namespace):
+    if args.embedder == "hash":
+        return metrics.SimilarityMatcher(metrics.HashEmbedder(seed=args.seed), args.mu)
+    return metrics.ExactMatcher()
 
 
 def cmd_eval(args: argparse.Namespace) -> None:
@@ -593,7 +587,7 @@ def cmd_eval(args: argparse.Namespace) -> None:
         report = metrics.binary_report(predictions, gold)
         payload = metrics.report_payload(report, metadata)
     else:
-        matcher = metrics.SimilarityMatcher(_make_embedder(args.embedder, args.seed), args.mu)
+        matcher = _make_matcher(args)
         precision, recall, s_f1 = metrics.mean_similarity_f1(
             [pipeline.parse_concept_list(line) for line in predictions],
             [pipeline.parse_concept_list(line) for line in gold],
@@ -655,7 +649,7 @@ def cmd_qa(args: argparse.Namespace) -> None:
         ),
     )
 
-    matcher = metrics.SimilarityMatcher(_make_embedder(args.embedder, args.seed), args.mu)
+    matcher = _make_matcher(args)
     by_task: dict[int, list[tuple[pipeline.TutorQaItem, str]]] = {}
     for item, answer in zip(items, answers):
         by_task.setdefault(item.task, []).append((item, answer))
@@ -702,20 +696,14 @@ def cmd_qa(args: argparse.Namespace) -> None:
 
 def cmd_fixtures(args: argparse.Namespace) -> None:
     judgments = recovery.canonicalize_judgments(recovery.load_judgments(args.judgments))
-    by_id = {c.id: c for c in graph.load_concepts(args.concepts)}
+    known = graph.ConceptGraph(tuple(graph.load_concepts(args.concepts)))
     rows = []
     for judgment in judgments:
-        try:
-            a = by_id[judgment.source]
-            b = by_id[judgment.target]
-        except KeyError as exc:
-            raise DataError(
-                f"judgment references unknown concept id {exc.args[0]!r}"
-            ) from None
+        a, b = known.path_names((judgment.source, judgment.target))
         rows.append(
             {
-                "a": a.name,
-                "b": b.name,
+                "a": a,
+                "b": b,
                 "variant": judgment.variant,
                 "response": judgment.raw_response,
             }

@@ -14,6 +14,7 @@ instead. A recording() block notes every path read or written here.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from collections.abc import Iterable, Iterator, Mapping
@@ -117,6 +118,15 @@ def write_json(
     A NaN or infinite number raises ValueError and leaves no file."""
     text = json.dumps(payload, indent=indent, sort_keys=True, allow_nan=False)
     write_text_atomic(path, text + "\n")
+
+
+def sha256_digest(path: str | Path) -> str:
+    """The file's sha256 in hex; recording() does not note it."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(65536), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _load_json(path: str | Path, error: type[Exception]) -> object:

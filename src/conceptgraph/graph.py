@@ -7,7 +7,7 @@ enumerates simple paths (no repeated node) with a depth bound.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -98,15 +98,13 @@ class ConceptGraph:
         object.__setattr__(
             self, "edges", frozenset((str(a), str(b)) for a, b in self.edges)
         )
-        ids = [c.id for c in ordered]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
+        ids = Counter(c.id for c in ordered)
+        if dupes := sorted(i for i, count in ids.items() if count > 1):
             raise GraphError(f"duplicate concept ids: {dupes}")
-        names = [normalize_name(c.name) for c in ordered]
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
+        names = Counter(normalize_name(c.name) for c in ordered)
+        if dupes := sorted(n for n, count in names.items() if count > 1):
             raise GraphError(f"concept names collide after normalization: {dupes}")
-        known = set(ids)
+        known = ids.keys()
         for a, b in sorted(self.edges):
             if a == b:
                 raise SelfLoop(f"edge ({a!r}, {b!r}) is a self-loop")

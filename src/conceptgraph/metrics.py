@@ -1,8 +1,8 @@
 """Evaluation metrics.
 
 Binary accuracy/F1 reports over Yes/No answers, a similarity-aware F1
-for concept-list answers where two names count as a match when their
-embedding cosine exceeds a threshold, verdict tallies over edge
+for concept-list answers where two names match by normalized name or
+by embedding cosine above a threshold, verdict tallies over edge
 judgments, and vocabulary mention counting in free text.
 """
 from __future__ import annotations
@@ -196,6 +196,30 @@ class SimilarityMatcher:
             vector = self._vectors[text] = self.embed(text)
         return vector
 
+    def hits(self, predicted: Sequence[str], relevant: Sequence[str]) -> np.ndarray:
+        """hits[i, j] is whether predicted[i] and relevant[j] match."""
+        # a name that appears in both lists is embedded as first spelled
+        spelling: dict[str, str] = {}
+        vectors = [
+            self._vector(spelling.setdefault(normalize_name(name), name))
+            for name in (*predicted, *relevant)
+        ]
+        return _hit_matrix(vectors[: len(predicted)], vectors[len(predicted) :], self.threshold)
+
+
+class ExactMatcher:
+    """Two names match when they are equal after normalize_name."""
+
+    def hits(self, predicted: Sequence[str], relevant: Sequence[str]) -> np.ndarray:
+        """hits[i, j] is whether predicted[i] and relevant[j] match."""
+        # each distinct normalized name gets a number; numpy compares those
+        index: dict[str, int] = {}
+        keys = [
+            index.setdefault(normalize_name(name), len(index))
+            for name in (*predicted, *relevant)
+        ]
+        return np.equal.outer(keys[: len(predicted)], keys[len(predicted) :])
+
 
 def _max_bipartite_matching(adjacency: Sequence[Sequence[bool]]) -> int:
     """Size of a maximum matching, by augmenting paths.
@@ -262,15 +286,15 @@ def _hit_matrix(
 def similarity_f1(
     predicted: Sequence[str],
     relevant: Sequence[str],
-    matcher: SimilarityMatcher,
+    matcher: SimilarityMatcher | ExactMatcher,
     *,
     one_to_one: bool = False,
 ) -> tuple[float, float, float]:
     """Precision, recall, and F1 over concept lists under soft matching.
 
     Both lists are deduplicated by normalized name first. By default a
-    predicted name counts as correct when any relevant name clears the
-    threshold and vice versa, so one prediction can cover several
+    predicted name counts as correct when it matches any relevant name
+    and vice versa, so one prediction can cover several
     relevant concepts; pass one_to_one=True to force a bipartite
     assignment instead.
     """
@@ -281,15 +305,7 @@ def similarity_f1(
     if not rel_unique:
         raise EmptyList("relevant list is empty")
 
-    # a name that appears in both lists is embedded as first spelled
-    spelling: dict[str, str] = {}
-    vectors = [
-        matcher._vector(spelling.setdefault(normalize_name(name), name))
-        for name in pred_unique + rel_unique
-    ]
-    hits = _hit_matrix(
-        vectors[: len(pred_unique)], vectors[len(pred_unique) :], matcher.threshold
-    )
+    hits = matcher.hits(pred_unique, rel_unique)
 
     if one_to_one:
         matched = _max_bipartite_matching(hits)
@@ -310,7 +326,7 @@ def similarity_f1(
 def mean_similarity_f1(
     predicted_lists: Sequence[Sequence[str]],
     gold_lists: Sequence[Sequence[str]],
-    matcher: SimilarityMatcher,
+    matcher: SimilarityMatcher | ExactMatcher,
     *,
     one_to_one: bool = False,
 ) -> tuple[float, float, float]:
@@ -338,25 +354,6 @@ def mean_similarity_f1(
         triples.append(similarity_f1(predicted, gold, matcher, one_to_one=one_to_one))
     precision, recall, s_f1 = (statistics.fmean(column) for column in zip(*triples))
     return precision, recall, s_f1
-
-
-class ExactMatchEmbedder:
-    """One-hot embedding per normalized name.
-
-    The dimension grows as new names appear; cosine under zero-padding
-    is 1 for the same normalized name and 0 otherwise, so the soft
-    metric collapses to exact set overlap.
-    """
-
-    def __init__(self) -> None:
-        self._index: dict[str, int] = {}
-
-    def __call__(self, text: str) -> list[float]:
-        key = normalize_name(text)
-        index = self._index.setdefault(key, len(self._index))
-        vector = [0.0] * len(self._index)
-        vector[index] = 1.0
-        return vector
 
 
 class HashEmbedder:

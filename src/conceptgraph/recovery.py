@@ -533,6 +533,8 @@ def recover_graph(
     """
     if concurrency < 1:
         raise RecoveryError(f"concurrency must be positive, got {concurrency}")
+    # duplicate ids and colliding names fail before the first oracle call
+    base = ConceptGraph(tuple(concepts))
     by_id = {c.id: c for c in concepts}
     pairs = plan_pairs(concepts, plan, labels)
     # an unknown id or a missing wiki page fails before the first oracle call
@@ -570,7 +572,7 @@ def recover_graph(
             judgments = tuple(itertools.chain.from_iterable(pool.map(judge_span, spans)))
 
     edges = frozenset((j.source, j.target) for j in judgments if j.verdict is Verdict.YES)
-    return RecoveryResult(graph=ConceptGraph(tuple(concepts), edges), judgments=judgments)
+    return RecoveryResult(graph=ConceptGraph(base.concepts, edges), judgments=judgments)
 
 
 # -- judgment serialization ------------------------------------------------------

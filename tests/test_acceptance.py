@@ -51,7 +51,7 @@ from conceptgraph.llm import (
     TemplateCommandOracle,
 )
 from conceptgraph.metrics import (
-    ExactMatchEmbedder,
+    ExactMatcher,
     HashEmbedder,
     SimilarityMatcher,
     binary_report,
@@ -225,7 +225,7 @@ def test_criterion_3_metric_replay_fidelity(tmp_path):
 
 def test_criterion_4_similarity_f1_ground_cases():
     with criterion(4, "similarity F1 ground cases and threshold monotonicity", 1.0):
-        exact = SimilarityMatcher(ExactMatchEmbedder(), 0.6)
+        exact = ExactMatcher()
         same = ["alpha", "beta", "gamma"]
         assert similarity_f1(same, list(same), exact) == (1.0, 1.0, 1.0)
 

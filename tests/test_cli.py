@@ -7,6 +7,7 @@ produce byte-identical primary outputs; only the manifest may differ.
 from __future__ import annotations
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +24,9 @@ from conceptgraph.cli import (
     main,
     parse_config_file,
     replay_manifest,
-    sha256_digest,
 )
 from conceptgraph.corpus import RetrievalIndex, ingest
+from conceptgraph.files import sha256_digest
 from conceptgraph.graph import EdgeRow, load_edge_rows
 from conceptgraph.linkpred import ConcatModel, GcnModel
 from conceptgraph.textnorm import VocabularyMatcher
@@ -116,6 +117,39 @@ def test_malformed_wiki_file_exits_2_and_names_the_file(workspace, capsys, text,
 
 def test_unknown_flag_exits_1(workspace):
     assert main(recover_argv(workspace, "out", "--warp-speed", "9")) == EXIT_CONFIG
+
+
+def counted_echo_calls(monkeypatch) -> list[str]:
+    """The prompts every EchoOracle is asked from now on."""
+    calls: list[str] = []
+    echo = llm.EchoOracle.__call__
+    monkeypatch.setattr(llm.EchoOracle, "__call__", lambda self, p: calls.append(p) or echo(self, p))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "rows, problem",
+    [
+        ("c0\tAlpha\nc1\tBeta\nc2\tGamma\nc0\tDelta\n", "duplicate concept ids: ['c0']"),
+        ("c0\tAlpha\nc1\tBeta\nc2\tGamma\nc3\t ALPHA\n", "collide after normalization: ['alpha']"),
+    ],
+    ids=["duplicate-id", "colliding-names"],
+)
+def test_recover_refuses_duplicate_concepts_before_any_oracle_call(
+    tmp_path, monkeypatch, capsys, rows, problem
+):
+    (tmp_path / "concepts.tsv").write_text(rows, encoding="utf-8")
+    calls = counted_echo_calls(monkeypatch)
+    argv = [
+        "recover",
+        "--concepts", str(tmp_path / "concepts.tsv"),
+        "--oracle", "echo",
+        "--output-dir", str(tmp_path / "out"),
+    ]
+    assert main(argv) == EXIT_DATA
+    assert problem in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_subcommand_exits_1(capsys):
@@ -266,6 +300,42 @@ def test_replay_refuses_a_changed_or_missing_input(tmp_path, monkeypatch):
     assert not (tmp_path / "b").exists()
 
 
+def test_replay_from_another_directory_names_the_run_directory(tmp_path, monkeypatch):
+    write_concepts(tmp_path / "concepts.tsv", [f"Concept {i}" for i in range(40)])
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    run_dir = str(Path.cwd())
+    argv = ["recover", "--concepts", "concepts.tsv", "--oracle", "echo", "--output-dir", "a"]
+    assert main([*argv, "--concurrency", "1"]) == EXIT_OK
+    assert load_manifest("a/manifest.json").cwd == run_dir
+    calls = counted_echo_calls(monkeypatch)
+    hashed: list[str] = []
+    digest = files.sha256_digest
+    monkeypatch.setattr(files, "sha256_digest", lambda p: hashed.append(p) or digest(p))
+    monkeypatch.chdir(tmp_path / "sub")
+    with pytest.raises(cli.DataError, match="replay from") as caught:
+        replay_manifest("../a/manifest.json", output_dir="../b")
+    assert "../a/manifest.json" in str(caught.value) and run_dir in str(caught.value)
+    assert calls == [] and hashed == []
+    assert not (tmp_path / "b").exists()
+    monkeypatch.chdir(tmp_path)
+    assert replay_manifest("a/manifest.json", output_dir="b") == EXIT_OK
+    for name in ("recovered-edges.tsv", "judgments.jsonl"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_manifest_without_a_directory_replays_as_before(workspace):
+    assert main(recover_argv(workspace, "a")) == EXIT_OK
+    path = workspace / "a" / "manifest.json"
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    del raw["cwd"]
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert load_manifest(path).cwd is None
+    assert replay_manifest(path, output_dir=str(workspace / "b")) == EXIT_OK
+    for name in ("recovered-edges.tsv", "judgments.jsonl"):
+        assert (workspace / "a" / name).read_bytes() == (workspace / "b" / name).read_bytes()
+
+
 def _rich_recover_run(ws: Path) -> tuple[list[str], list[Path], list[str]]:
     words = " ".join(f"filler{i}" for i in range(30))
     lines = [f"{name} is taught here {words}" for name in NAMES]
@@ -348,6 +418,16 @@ def _fixtures_run(ws: Path) -> tuple[list[str], list[Path], list[str]]:
     assert main(recover_argv(ws, "a")) == EXIT_OK
     judgments = ws / "a" / "judgments.jsonl"
     return _fixtures_argv(ws, judgments, "out"), [judgments, ws / "concepts.tsv"], ["fixtures.jsonl"]
+
+
+def test_fixtures_refuses_a_duplicate_concept_id(workspace, capsys):
+    assert main(recover_argv(workspace, "a")) == EXIT_OK
+    concepts = workspace / "concepts.tsv"
+    concepts.write_text(concepts.read_text(encoding="utf-8") + "c0\tRenamed\n", encoding="utf-8")
+    argv = _fixtures_argv(workspace, workspace / "a" / "judgments.jsonl", "fx")
+    assert main(argv) == EXIT_DATA
+    assert "duplicate concept ids: ['c0']" in capsys.readouterr().err
+    assert not (workspace / "fx").exists()
 
 
 @pytest.mark.parametrize(
@@ -546,6 +626,58 @@ def test_eval_list_line_holding_u0085_is_one_list(tmp_path, capsys):
     assert report["lines"] == 1
 
 
+def eval_list_argv(tmp_path: Path, out: str, *extra: str) -> list[str]:
+    return [
+        "eval",
+        "--predictions", str(tmp_path / "pred.txt"),
+        "--gold", str(tmp_path / "gold.txt"),
+        "--mode", "list",
+        "--output-dir", str(tmp_path / out),
+        *extra,
+    ]
+
+
+@pytest.mark.parametrize("flag", ["--one-to-one", "--embedder"])
+def test_eval_refuses_a_value_outside_the_flag_choices(tmp_path, capsys, flag):
+    for name in ("pred.txt", "gold.txt"):
+        (tmp_path / name).write_text("Probability\n", encoding="utf-8")
+    assert main(eval_list_argv(tmp_path, "out", flag, "maybe")) == EXIT_CONFIG
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def distinct_name_lists(directory: Path, names: int) -> Path:
+    """Prediction and gold files holding the same lists of four names each,
+    with no name on two lines."""
+    lines = "".join(
+        "; ".join(f"Topic {k + i}" for i in range(4)) + "\n" for k in range(0, names, 4)
+    )
+    directory.mkdir()
+    for name in ("pred.txt", "gold.txt"):
+        (directory / name).write_text(lines, encoding="utf-8")
+    return directory
+
+
+def test_exact_matching_memory_grows_linearly_with_the_names(tmp_path, capsys):
+    small, large = (distinct_name_lists(tmp_path / f"n{n}", n) for n in (1000, 4000))
+    # one untraced run first, so one-time costs land in neither measurement
+    assert main(eval_list_argv(small, "warm")) == EXIT_OK
+    peaks = []
+    for directory in (small, large):
+        tracemalloc.start()
+        try:
+            assert main(eval_list_argv(directory, "out", "--embedder", "exact")) == EXIT_OK
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        report = json.loads((directory / "out" / "eval-report.json").read_text())
+        assert report["s_f1"] == 1.0
+    capsys.readouterr()
+    # the input lists alone grow 4x; vectors as long as the names seen so
+    # far would make the peak grow 16x
+    assert peaks[1] < 8 * peaks[0], peaks
+
+
 def test_documents_line_holding_u2028_is_one_document(workspace):
     half = " ".join(f"word{i}" for i in range(30))
     corpus_path = workspace / "corpus.txt"
@@ -625,6 +757,12 @@ def test_qa_template_oracles_reach_full_accuracy(qa_workspace):
     assert mentions["items"] == 1
     assert mentions["mean_unique_mentions"] >= 1.0
     assert (out / "traces.jsonl").exists()
+
+
+def test_qa_refuses_a_trace_value_other_than_on_or_off(qa_workspace, capsys):
+    assert main(qa_argv(qa_workspace, "out", "--trace", "yes")) == EXIT_CONFIG
+    assert "--trace" in capsys.readouterr().err
+    assert not (qa_workspace / "out").exists()
 
 
 def test_qa_trace_off_omits_traces_file(qa_workspace):

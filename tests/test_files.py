@@ -1,7 +1,6 @@
 """The shared writers: JSON Lines bytes, atomic replacement, and no NaN."""
 from __future__ import annotations
 
-import ast
 import json
 import math
 import re
@@ -62,23 +61,15 @@ def test_json_is_encoded_and_decoded_only_in_files():
 
 def test_files_are_opened_only_in_files():
     # a reader that opens its own file would escape files.recording(), and
-    # a manifest would then miss an input; sha256_digest hashes the inputs
-    # after the run, so it opens them unrecorded on purpose
+    # a manifest would then miss an input
     call = re.compile(r"\b(open|read_text|read_bytes|write_text|write_bytes)\(")
     package = Path(files.__file__).parent
-    cli_source = (package / "cli.py").read_text(encoding="utf-8")
-    digest = next(
-        node
-        for node in ast.parse(cli_source).body
-        if isinstance(node, ast.FunctionDef) and node.name == "sha256_digest"
-    )
-    allowed = {("cli.py", n) for n in range(digest.lineno, digest.end_lineno + 1)}
     offenders = [
         f"{path.name}:{number}: {line.strip()}"
         for path in sorted(package.glob("*.py"))
         if path.name != "files.py"
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-        if call.search(line) and (path.name, number) not in allowed
+        if call.search(line)
     ]
     assert offenders == []
 

@@ -7,6 +7,7 @@ over the raw edge set for simple paths.
 from __future__ import annotations
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -122,6 +123,23 @@ def test_colliding_normalized_names_rejected():
     concepts = (Concept("a", "Neural  Networks"), Concept("b", "neural networks"))
     with pytest.raises(GraphError, match="collide"):
         ConceptGraph(concepts)
+
+
+@pytest.mark.parametrize(
+    "extra, problem",
+    [
+        (Concept("c7", "extra"), r"duplicate concept ids: \['c7'\]"),
+        (Concept("x", "Name  7"), r"collide after normalization: \['name 7'\]"),
+    ],
+    ids=["id", "name"],
+)
+def test_duplicate_check_takes_linear_time(extra, problem):
+    # a check that counts each id in the whole list takes seconds here
+    concepts = tuple(Concept(f"c{i}", f"name {i}") for i in range(20_000)) + (extra,)
+    start = time.perf_counter()
+    with pytest.raises(GraphError, match=problem):
+        ConceptGraph(concepts)
+    assert time.perf_counter() - start < 1.5
 
 
 def test_edges_must_reference_known_concepts():

@@ -1,7 +1,7 @@
 """Metric suite: binary reports, similarity F1, tallies, mentions.
 
 The similarity metric is checked against a brute-force set-overlap
-oracle (exact-match embeddings) and an independent pure-Python cosine
+oracle (exact matching) and an independent pure-Python cosine
 loop (hash embeddings).
 """
 from __future__ import annotations
@@ -19,7 +19,7 @@ from conceptgraph.metrics import (
     EmbedderFailure,
     EmptyList,
     EvalReport,
-    ExactMatchEmbedder,
+    ExactMatcher,
     HashEmbedder,
     LengthMismatch,
     MetricsError,
@@ -49,6 +49,23 @@ def judgment(a: str, b: str, verdict: Verdict) -> EdgeJudgment:
 
 
 # -- oracles -----------------------------------------------------------------
+
+
+class GrowingOneHot:
+    """One-hot vector per normalized name, as long as the names seen so far.
+
+    Vectors embedded earlier are shorter than later ones, so comparing them
+    exercises the zero padding of the similarity scorer.
+    """
+
+    def __init__(self) -> None:
+        self._index: dict[str, int] = {}
+
+    def __call__(self, text: str) -> list[float]:
+        index = self._index.setdefault(normalize_name(text), len(self._index))
+        vector = [0.0] * len(self._index)
+        vector[index] = 1.0
+        return vector
 
 
 def oracle_set_overlap(pred: list[str], rel: list[str]) -> tuple[float, float, float]:
@@ -177,17 +194,17 @@ def test_binary_report_rejects_bad_inputs():
 
 
 def test_identical_lists_score_one():
-    matcher = SimilarityMatcher(ExactMatchEmbedder())
+    matcher = ExactMatcher()
     assert similarity_f1(["a", "b"], ["a", "b"], matcher) == (1.0, 1.0, 1.0)
 
 
 def test_orthogonal_lists_score_zero():
-    matcher = SimilarityMatcher(ExactMatchEmbedder())
+    matcher = ExactMatcher()
     assert similarity_f1(["a", "b"], ["c", "d"], matcher) == (0.0, 0.0, 0.0)
 
 
 def test_partial_overlap_single_prediction():
-    matcher = SimilarityMatcher(ExactMatchEmbedder())
+    matcher = ExactMatcher()
     precision, recall, s_f1 = similarity_f1(["a"], ["a", "b"], matcher)
     assert precision == 1.0 and recall == 0.5
     assert s_f1 == pytest.approx(2 / 3, abs=1e-4)
@@ -197,10 +214,11 @@ def test_exact_match_reduces_to_set_overlap():
     rng = random.Random(501)
     for _ in range(50):
         pred, rel = random_lists(rng)
-        matcher = SimilarityMatcher(ExactMatchEmbedder())
+        matcher = ExactMatcher()
         got = similarity_f1(pred, rel, matcher)
         want = oracle_set_overlap(pred, rel)
         assert got == pytest.approx(want)
+        assert similarity_f1(pred, rel, matcher, one_to_one=True) == pytest.approx(want)
 
 
 def test_hash_embedder_matches_pure_python_oracle():
@@ -228,7 +246,7 @@ def test_similarity_f1_monotone_non_increasing_in_threshold():
 
 
 def test_similarity_f1_ignores_duplicates_and_order():
-    matcher = SimilarityMatcher(ExactMatchEmbedder())
+    matcher = ExactMatcher()
     base = similarity_f1(["a", "b"], ["b", "c"], matcher)
     assert similarity_f1(["b", "a", "A", "  b"], ["c", "b", "B"], matcher) == base
     assert similarity_f1(["b", "a"], ["c", "b"], matcher) == base
@@ -260,7 +278,7 @@ def test_one_to_one_matching_finds_augmenting_paths():
 
 
 def test_similarity_f1_rejects_empty_lists():
-    matcher = SimilarityMatcher(ExactMatchEmbedder())
+    matcher = ExactMatcher()
     with pytest.raises(EmptyList):
         similarity_f1([], ["a"], matcher)
     with pytest.raises(EmptyList):
@@ -268,7 +286,7 @@ def test_similarity_f1_rejects_empty_lists():
 
 
 def test_mean_similarity_f1_averages_lists_and_scores_empty_predictions_zero():
-    matcher = SimilarityMatcher(ExactMatchEmbedder())
+    matcher = ExactMatcher()
     precision, recall, s_f1 = mean_similarity_f1(
         [["a"], [], ["b", "c"]], [["a", "b"], ["x"], ["b", "c"]], matcher
     )
@@ -297,12 +315,12 @@ def test_embedder_failures_are_wrapped():
 
 def test_matcher_threshold_validation_and_strictness():
     with pytest.raises(MetricsError):
-        SimilarityMatcher(ExactMatchEmbedder(), threshold=0.0)
+        SimilarityMatcher(HashEmbedder(), threshold=0.0)
     with pytest.raises(MetricsError):
-        SimilarityMatcher(ExactMatchEmbedder(), threshold=1.2)
+        SimilarityMatcher(HashEmbedder(), threshold=1.2)
     # matching is strict, so at 1 not even two equal names would match
     with pytest.raises(MetricsError, match=r"\(0, 1\)"):
-        SimilarityMatcher(ExactMatchEmbedder(), threshold=1.0)
+        SimilarityMatcher(HashEmbedder(), threshold=1.0)
     # cosine exactly equal to the threshold must NOT match
     vectors = {"x": [1.0, 0.0], "y": [0.6, 0.8]}
     assert padded_cosine(vectors["x"], vectors["y"]) == pytest.approx(0.6)
@@ -380,7 +398,7 @@ def test_matrix_scorer_matches_the_cosine_loop_with_hash_embeddings(dim):
 
 def test_matrix_scorer_matches_the_cosine_loop_as_exact_embeddings_grow():
     rng = random.Random(911)
-    embed = ExactMatchEmbedder()
+    embed = GrowingOneHot()
     matcher = SimilarityMatcher(embed)
     for round_number in range(6):
         # every round brings new names, so later vectors are longer than
@@ -512,7 +530,7 @@ def test_mean_similarity_f1_embeds_each_distinct_text_once():
 
 
 def test_exact_match_embedder_grows_and_pads():
-    embed = ExactMatchEmbedder()
+    embed = GrowingOneHot()
     va = embed("alpha")
     vb = embed("beta")
     assert len(va) == 1 and len(vb) == 2
