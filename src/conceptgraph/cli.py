@@ -178,6 +178,15 @@ def _layer_widths(value: str) -> str:
     return value
 
 
+def _pair_plan(value: str) -> str:
+    """all or balanced:N with N a positive integer, kept as text so a
+    manifest replays it."""
+    kind, sep, size = value.partition(":")
+    if value != "all" and not (kind == "balanced" and sep and _positive_int(size)):
+        raise argparse.ArgumentTypeError(f"expected all or balanced:N, got {value!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="conceptgraph", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=__version__)
@@ -204,9 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="echo | live | mock-graph:EDGE_TSV | mock-script:FIXTURE_JSONL",
     )
-    rec.add_argument("--variant", default="zs", help="prompt variant code")
+    variants = [kind.value for kind in recovery.VariantKind]
+    rec.add_argument("--variant", default="zs", choices=variants, help="prompt variant code")
     rec.add_argument("--rag-k", type=_positive_int, default=None, help="passages per pair (rag only)")
-    rec.add_argument("--pairs", default="all", help="all | balanced:N")
+    rec.add_argument("--pairs", type=_pair_plan, default="all", help="all | balanced:N")
     rec.add_argument("--labels", default=None, help="labeled edge TSV for balanced sampling")
     rec.add_argument("--flip-p", type=_probability, default=0.0, help="mock-graph noise probability")
     rec.add_argument("--domain", default="general knowledge", help="domain named in prompts")
@@ -445,21 +455,12 @@ def _build_recover_oracle(args: argparse.Namespace, concepts: list[graph.Concept
 
 
 def _build_plan(args: argparse.Namespace) -> recovery.SamplingPlan:
-    spec = args.pairs
-    if spec == "all":
+    if args.pairs == "all":
         return recovery.SamplingPlan("all", None, args.seed)
-    kind, sep, size = spec.partition(":")
-    if sep and kind == "balanced":
-        try:
-            sample_size = _positive_int(size)
-        except argparse.ArgumentTypeError:
-            raise ConfigError(
-                f"--pairs balanced:N needs a positive integer N, got {size!r}"
-            ) from None
-        if args.labels is None:
-            raise ConfigError("--pairs balanced:N needs --labels")
-        return recovery.SamplingPlan("balanced", sample_size, args.seed)
-    raise ConfigError(f"unknown pair plan {spec!r}; expected all or balanced:N")
+    if args.labels is None:
+        raise ConfigError("--pairs balanced:N needs --labels")
+    size = int(args.pairs.partition(":")[2])
+    return recovery.SamplingPlan("balanced", size, args.seed)
 
 
 def _build_context(args: argparse.Namespace) -> recovery.RecoveryContext | None:
@@ -507,8 +508,8 @@ def cmd_recover(args: argparse.Namespace) -> None:
     concepts = graph.load_concepts(args.concepts)
     oracle = _build_recover_oracle(args, concepts)
     try:
-        variant = recovery.PromptVariant(recovery.variant_from_code(args.variant), args.rag_k)
-    except recovery.RecoveryError as exc:  # bad flag value, not bad data
+        variant = recovery.PromptVariant(recovery.VariantKind(args.variant), args.rag_k)
+    except recovery.RecoveryError as exc:  # --rag-k without zs-rag: a flag clash, not bad data
         raise ConfigError(str(exc)) from None
     plan = _build_plan(args)
     labels = None

@@ -57,7 +57,8 @@ class Concept:
 class PathResult:
     """An ordered collection of simple paths (tuples of concept ids).
 
-    Paths are stored sorted lexicographically so two traversals of the
+    Built from any iterable of paths, such as a traversal's generator;
+    paths are stored sorted lexicographically so two traversals of the
     same graph always compare equal.
     """
 
@@ -228,29 +229,31 @@ class ConceptGraph:
                     frontier.append(nxt)
         if target_id not in dist:
             return PathResult()
+        return PathResult(self._unwind(dist, source_id, target_id))
+
+    def _unwind(
+        self, dist: dict[str, int], source_id: str, target_id: str
+    ) -> Iterator[tuple[str, ...]]:
         # Walk backwards through the BFS layering; every minimum-hop
         # path is simple, so no visited bookkeeping is needed. The stack is
         # explicit, so path length is not limited by the recursion limit.
-        paths: list[tuple[str, ...]] = []
         pending: list[tuple[str, ...]] = [(target_id,)]
         while pending:
             backwards = pending.pop()
             node = backwards[-1]
             if node == source_id:
-                paths.append(backwards[::-1])
+                yield backwards[::-1]
                 continue
             for prev in self.predecessors[node]:
                 if dist.get(prev) == dist[node] - 1:
                     pending.append(backwards + (prev,))
-        return PathResult(tuple(paths))
 
     def _simple_paths_from(
         self, start: str, neighbors: dict[str, tuple[str, ...]], max_hops: int
-    ) -> list[tuple[str, ...]]:
+    ) -> Iterator[tuple[str, ...]]:
         if max_hops < 1:
             raise GraphError(f"hop bound must be at least 1, got {max_hops}")
         # an explicit stack, so the hop bound alone limits path length
-        found: list[tuple[str, ...]] = []
         pending: list[tuple[str, ...]] = [(start,)]
         while pending:
             path = pending.pop()
@@ -258,10 +261,9 @@ class ConceptGraph:
                 if nxt in path:
                     continue
                 extended = path + (nxt,)
-                found.append(extended)
+                yield extended
                 if len(extended) <= max_hops:
                     pending.append(extended)
-        return found
 
     def neighborhood_paths(
         self, concept_id: str, direction: str, max_hops: int
@@ -274,12 +276,10 @@ class ConceptGraph:
         """
         self.concept(concept_id)
         if direction == "out":
-            return PathResult(
-                tuple(self._simple_paths_from(concept_id, self.successors, max_hops))
-            )
+            return PathResult(self._simple_paths_from(concept_id, self.successors, max_hops))
         if direction == "in":
             raw = self._simple_paths_from(concept_id, self.predecessors, max_hops)
-            return PathResult(tuple(p[::-1] for p in raw))
+            return PathResult(p[::-1] for p in raw)
         raise GraphError(f"direction must be 'in' or 'out', got {direction!r}")
 
     def prerequisite_paths(self, target_id: str, max_depth: int) -> PathResult:

@@ -61,6 +61,10 @@ class FixtureMiss(LlmError):
     """A scripted oracle has no row for the requested pair."""
 
 
+class FixtureFormatError(ValueError):
+    """A fixture file holds a line that is not a fixture row."""
+
+
 # -- live transport -----------------------------------------------------------
 
 
@@ -247,7 +251,16 @@ class ScriptedOracle:
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "ScriptedOracle":
-        return cls([row for _, row in files.read_jsonl(path, LlmError)])
+        """Rows from a fixture file. A line that is not a JSON object with
+        a, b and response raises FixtureFormatError naming file and line."""
+        rows = []
+        for lineno, row in files.read_jsonl(path, FixtureFormatError):
+            if missing := [key for key in ("a", "b", "response") if key not in row]:
+                raise FixtureFormatError(
+                    f"{path}: line {lineno}: fixture row is missing {missing[0]!r}"
+                )
+            rows.append(row)
+        return cls(rows)
 
     def __call__(self, prompt: str) -> str:
         a, b, variant = parse_pair_prompt(prompt)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .graph import ConceptGraph, PathResult
+from .graph import Concept, ConceptGraph, PathResult
 
 GRAMMAR_REFERENCE = """\
 Commands (keywords are case-insensitive; concept names go in double quotes):
@@ -114,38 +114,30 @@ GraphQuery = Union[Reachable, ShortestPath, Prerequisites, Neighbors]
 class QueryOutcome:
     """What a command returned.
 
-    kind mirrors the command keyword; payload is a boolean for
-    reachability and a PathResult for everything else; concept_ids are
-    the resolved ids of the names the command referenced, in order.
-    named_paths carries the path evidence as concept names for prompt
-    rendering: for reachability these are witness shortest paths, so a
-    true payload always comes with at least one named path.
+    kind mirrors the command keyword; paths are the id paths the command
+    found, which for reachability are the witness shortest paths;
+    concept_ids are the resolved ids of the names the command referenced,
+    in order. named_paths carries the same paths as concept names for
+    prompt rendering.
     """
 
     kind: str
-    payload: bool | PathResult
+    paths: PathResult
     concept_ids: tuple[str, ...]
-    named_paths: tuple[tuple[str, ...], ...] = ()
+    named_paths: tuple[tuple[str, ...], ...]
 
     def __post_init__(self) -> None:
         if self.kind not in ("reachable", "shortest", "prereq", "neighbors"):
             raise QueryError(f"unknown outcome kind: {self.kind!r}")
-        wants_bool = self.kind == "reachable"
-        if wants_bool is not isinstance(self.payload, bool):
+        if len(self.named_paths) != len(self.paths):
             raise QueryError(
-                f"{self.kind} outcome carries a "
-                f"{type(self.payload).__name__} payload"
+                f"{len(self.named_paths)} named paths for {len(self.paths)} id paths"
             )
-        if wants_bool:
-            if self.payload is not bool(self.named_paths):
-                raise QueryError(
-                    "reachable payload disagrees with its witness paths"
-                )
-        elif len(self.named_paths) != len(self.payload.paths):
-            raise QueryError(
-                f"{len(self.named_paths)} named paths for "
-                f"{len(self.payload.paths)} id paths"
-            )
+
+    @property
+    def payload(self) -> bool | PathResult:
+        """The answer: a boolean for reachability, the paths for everything else."""
+        return bool(self.paths) if self.kind == "reachable" else self.paths
 
 
 class _Parser:
@@ -277,8 +269,12 @@ def render_query(query: GraphQuery) -> str:
     raise QueryError(f"not a query AST: {query!r}")
 
 
-def _named(graph: ConceptGraph, result: PathResult) -> tuple[tuple[str, ...], ...]:
-    return tuple(graph.path_names(path) for path in result.paths)
+def _outcome(
+    graph: ConceptGraph, kind: str, paths: PathResult, *concepts: Concept
+) -> QueryOutcome:
+    return QueryOutcome(
+        kind, paths, tuple(c.id for c in concepts), tuple(map(graph.path_names, paths))
+    )
 
 
 def execute(query: GraphQuery, graph: ConceptGraph) -> QueryOutcome:
@@ -288,29 +284,18 @@ def execute(query: GraphQuery, graph: ConceptGraph) -> QueryOutcome:
     Reachability of a concept from itself is always false: an empty
     walk does not count and self-loops cannot exist.
     """
-    if isinstance(query, Reachable):
+    if isinstance(query, (Reachable, ShortestPath)):
         a = graph.resolve(query.a)
         b = graph.resolve(query.b)
-        witness = graph.shortest_path(a.id, b.id)
-        return QueryOutcome(
-            "reachable",
-            bool(witness),
-            (a.id, b.id),
-            _named(graph, witness),
-        )
-    if isinstance(query, ShortestPath):
-        a = graph.resolve(query.a)
-        b = graph.resolve(query.b)
-        result = graph.shortest_path(a.id, b.id)
-        return QueryOutcome("shortest", result, (a.id, b.id), _named(graph, result))
+        kind = "reachable" if isinstance(query, Reachable) else "shortest"
+        return _outcome(graph, kind, graph.shortest_path(a.id, b.id), a, b)
     if isinstance(query, Prerequisites):
         a = graph.resolve(query.a)
-        result = graph.prerequisite_paths(a.id, query.depth)
-        return QueryOutcome("prereq", result, (a.id,), _named(graph, result))
+        return _outcome(graph, "prereq", graph.prerequisite_paths(a.id, query.depth), a)
     if isinstance(query, Neighbors):
         a = graph.resolve(query.a)
-        result = graph.neighborhood_paths(a.id, query.direction, query.hops)
-        return QueryOutcome("neighbors", result, (a.id,), _named(graph, result))
+        paths = graph.neighborhood_paths(a.id, query.direction, query.hops)
+        return _outcome(graph, "neighbors", paths, a)
     raise QueryError(f"not a query AST: {query!r}")
 
 
@@ -325,20 +310,10 @@ def merge_path_outcomes(outcomes: "list[QueryOutcome]") -> QueryOutcome:
     kinds = {outcome.kind for outcome in outcomes}
     if len(kinds) != 1 or "reachable" in kinds:
         raise QueryError(f"cannot merge outcomes of kinds {sorted(kinds)}")
-    by_path: dict[tuple[str, ...], tuple[str, ...]] = {}
-    ids: list[str] = []
+    # one graph names an id path one way, so a later duplicate changes nothing
+    names: dict[tuple[str, ...], tuple[str, ...]] = {}
     for outcome in outcomes:
-        for path, named in zip(
-            outcome.payload.paths, outcome.named_paths, strict=True
-        ):
-            by_path.setdefault(path, named)
-        for concept_id in outcome.concept_ids:
-            if concept_id not in ids:
-                ids.append(concept_id)
-    merged = PathResult(tuple(by_path))
-    return QueryOutcome(
-        kinds.pop(),
-        merged,
-        tuple(ids),
-        tuple(by_path[path] for path in merged.paths),
-    )
+        names.update(zip(outcome.paths, outcome.named_paths))
+    ids = dict.fromkeys(cid for outcome in outcomes for cid in outcome.concept_ids)
+    merged = PathResult(names)
+    return QueryOutcome(kinds.pop(), merged, tuple(ids), tuple(map(names.__getitem__, merged)))

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from . import files
-from .corpus import CorpusDocument, RetrievalIndex
+from .corpus import CorpusDocument, EmptyQuery, RetrievalIndex
 from .graph import Concept, ConceptGraph, EdgeRow, UnknownConcept
 from .textnorm import mentions_concept, normalize_name, tokenize
 
@@ -323,7 +323,10 @@ def build_additional_info(
         index = context.retrieval_index
         if index is None:
             raise MissingContext("RAG variant needs context.retrieval_index")
-        hits = index.retrieve(f"{a.name} {b.name}", k=variant.rag_k)
+        try:
+            hits = index.retrieve(f"{a.name} {b.name}", k=variant.rag_k)
+        except EmptyQuery:  # names without tokens match nothing
+            hits = []
         if not hits:
             return ""
         limit = context.passage_char_limit

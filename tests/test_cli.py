@@ -29,6 +29,7 @@ from conceptgraph.corpus import RetrievalIndex, ingest
 from conceptgraph.files import sha256_digest
 from conceptgraph.graph import EdgeRow, load_edge_rows
 from conceptgraph.linkpred import ConcatModel, GcnModel
+from conceptgraph.recovery import load_judgments, read_pair_prompt
 from conceptgraph.textnorm import VocabularyMatcher
 
 
@@ -166,12 +167,53 @@ def test_bad_pairs_spec_exits_1(workspace):
     assert main(recover_argv(workspace, "out", "--pairs", "some")) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--variant", "zz"), ("--pairs", "balanced:x"), ("--pairs", "some")]
+)
+def test_bad_variant_or_pairs_exits_1_before_any_file_is_read(workspace, flag, value):
+    argv = recover_argv(workspace, "out", flag, value)
+    argv[2] = str(workspace / "absent.tsv")
+    assert main(argv) == EXIT_CONFIG
+
+
 def test_fixture_miss_exits_3(workspace):
     # fixture file covers no pairs, so the first judgment call misses
     (workspace / "empty.jsonl").write_text("", encoding="utf-8")
     argv = recover_argv(workspace, "out")
     argv[4] = f"mock-script:{workspace / 'empty.jsonl'}"
     assert main(argv) == EXIT_ORACLE
+
+
+@pytest.mark.parametrize(
+    "line", ['{"a": "Probability"}', "not json"], ids=["missing-key", "not-json"]
+)
+def test_malformed_fixture_file_exits_2_and_names_file_and_line(workspace, capsys, line):
+    fixtures = workspace / "fixtures.jsonl"
+    good = {"a": "Probability", "b": "Syntax Trees", "response": "YES"}
+    fixtures.write_text(json.dumps(good) + "\n" + line + "\n", encoding="utf-8")
+    argv = recover_argv(workspace, "out")
+    argv[4] = f"mock-script:{fixtures}"
+    assert main(argv) == EXIT_DATA
+    assert f"{fixtures}: line 2: " in capsys.readouterr().err
+    assert not (workspace / "out").exists()
+
+
+def test_rag_pair_whose_names_have_no_tokens_gets_the_bare_prompt(tmp_path, monkeypatch):
+    write_concepts(tmp_path / "concepts.tsv", ["Probability", "+++", "***", "Syntax Trees"])
+    RetrievalIndex(ingest([f"{name} is taught here" for name in NAMES], min_words=1)).save(
+        tmp_path / "index.json"
+    )
+    calls = counted_echo_calls(monkeypatch)
+    argv = [
+        "recover", "--concepts", str(tmp_path / "concepts.tsv"), "--oracle", "echo",
+        "--variant", "zs-rag", "--rag-index", str(tmp_path / "index.json"),
+        "--concurrency", "1", "--output-dir", str(tmp_path / "out"),
+    ]
+    assert main(argv) == EXIT_OK
+    assert len(load_judgments(tmp_path / "out" / "judgments.jsonl")) == 12
+    read = [read_pair_prompt(prompt) for prompt in calls]
+    assert {code for a, b, code in read if (a, b) == ("+++", "***")} == {"zs"}
+    assert {code for a, b, code in read if (a, b) == ("Probability", "Syntax Trees")} == {"zs-rag"}
 
 
 def test_live_oracle_without_endpoint_exits_1(workspace):

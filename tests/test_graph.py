@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,6 +317,27 @@ def test_traversals_terminate_on_dense_cyclic_graph():
     assert g.has_path("c0", "c0")
     assert len(g.shortest_path("c0", "c6")) == 1
     assert g.neighborhood_paths("c3", "out", 2)
+
+
+@pytest.mark.parametrize("concept_id, direction", [("source", "out"), ("sink", "in")])
+def test_traversals_hold_one_copy_of_their_paths(concept_id, direction):
+    # 7 fully linked layers of 6 concepts between a source and a sink:
+    # 6 + 36 + ... + 6**6 = 55,986 paths of up to 6 hops from either end
+    layers = [[f"l{i}c{j}" for j in range(6)] for i in range(7)]
+    edges = {("source", c) for c in layers[0]} | {(c, "sink") for c in layers[-1]}
+    edges |= {(a, b) for upper, lower in zip(layers, layers[1:]) for a in upper for b in lower}
+    ids = ["source", "sink", *(c for layer in layers for c in layer)]
+    g = ConceptGraph(tuple(Concept(c, f"name {c}") for c in ids), frozenset(edges))
+    g.neighborhood_paths(concept_id, direction, 1)  # builds the lookup tables
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = g.neighborhood_paths(concept_id, direction, 6)
+        kept, peak = (size - base for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(result) == 55_986
+    assert peak < 1.5 * kept
 
 
 # -- path containers -----------------------------------------------------------
