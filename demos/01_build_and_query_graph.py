@@ -52,9 +52,3 @@ for depth in (1, 2):
 # forward from the concept, "in" reports incoming chains.
 out_paths = g.neighborhood_paths("c1", "out", 2)
 print("forward neighborhood of Hidden Markov Model:", out_paths.paths)
-
-# The adjacency matrix view is what the link predictor trains on.
-order = [c.id for c in g.concepts]
-print("adjacency rows:")
-for cid, row in zip(order, g.adjacency(order)):
-    print("  ", cid, [int(v) for v in row])

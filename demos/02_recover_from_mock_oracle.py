@@ -17,10 +17,10 @@ from conceptgraph.llm import GraphBackedOracle, ScriptedOracle
 from conceptgraph.recovery import (
     PromptVariant,
     SamplingPlan,
+    VariantKind,
     build_pair_prompt,
     recover_graph,
     save_judgments,
-    variant_from_code,
 )
 
 # A hidden random DAG plays the role of the unknown true curriculum.
@@ -37,7 +37,7 @@ hidden = ConceptGraph(concepts, edges)
 print("hidden graph has", len(hidden.edges), "edges")
 
 # This is the zero-shot prompt a pair judgment sends.
-variant = PromptVariant(variant_from_code("zs"))
+variant = PromptVariant(VariantKind("zs"))
 print("--- sample prompt ---")
 print(build_pair_prompt(variant, concepts[0], concepts[1], domain="natural language processing"))
 print("---------------------")

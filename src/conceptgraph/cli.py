@@ -107,7 +107,6 @@ def _map_exception(exc: Exception) -> CliError:
             linkpred.LinkPredError,
             pipeline.PipelineError,
             query.QueryError,
-            UnicodeDecodeError,
             ValueError,
         ),
     ):

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-import numpy as np
-
 from . import files
 from .textnorm import VocabularyMatcher, normalize_name
 
@@ -29,10 +27,6 @@ class UnknownConcept(GraphError):
 
 class SelfLoop(GraphError):
     """Self-referential edges are rejected everywhere."""
-
-
-class OrderingMismatch(GraphError):
-    """A node ordering is not a permutation of the graph's concept ids."""
 
 
 class TsvFormatError(GraphError):
@@ -131,10 +125,6 @@ class ConceptGraph:
     def matcher(self) -> VocabularyMatcher:
         """Scanner for the concept names, built on first use."""
         return VocabularyMatcher(c.name for c in self.concepts)
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(c.id for c in self.concepts)
 
     def concept(self, concept_id: str) -> Concept:
         try:
@@ -286,23 +276,6 @@ class ConceptGraph:
         """Simple prerequisite chains of 1..max_depth edges ending at the
         target, in forward edge orientation."""
         return self.neighborhood_paths(target_id, "in", max_depth)
-
-    # -- matrix form ----------------------------------------------------
-
-    def adjacency(self, ordering: Sequence[str]) -> np.ndarray:
-        """Dense 0/1 adjacency under the given id ordering.
-
-        The ordering must be a permutation of the graph's concept ids.
-        """
-        if sorted(ordering) != sorted(self.ids) or len(ordering) != len(self.ids):
-            raise OrderingMismatch(
-                "ordering must list every concept id exactly once"
-            )
-        index = {cid: i for i, cid in enumerate(ordering)}
-        matrix = np.zeros((len(ordering), len(ordering)), dtype=np.int64)
-        for a, b in self.edges:
-            matrix[index[a], index[b]] = 1
-        return matrix
 
 
 # -- TSV interchange -----------------------------------------------------

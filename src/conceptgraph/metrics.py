@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .recovery import EdgeJudgment, Verdict
-from .textnorm import VocabularyMatcher, normalize_name, ordered_unique
+from .textnorm import VocabularyMatcher, normalize_name, unique_names
 
 DEFAULT_THRESHOLD = 0.6
 # cosines this close to the threshold are recomputed one pair at a time,
@@ -196,29 +196,26 @@ class SimilarityMatcher:
             vector = self._vectors[text] = self.embed(text)
         return vector
 
-    def hits(self, predicted: Sequence[str], relevant: Sequence[str]) -> np.ndarray:
-        """hits[i, j] is whether predicted[i] and relevant[j] match."""
-        # a name that appears in both lists is embedded as first spelled
-        spelling: dict[str, str] = {}
-        vectors = [
-            self._vector(spelling.setdefault(normalize_name(name), name))
-            for name in (*predicted, *relevant)
-        ]
+    def hits(self, predicted: Mapping[str, str], relevant: Mapping[str, str]) -> np.ndarray:
+        """hits[i, j] is whether the i-th predicted and j-th relevant key match.
+
+        Each list maps normalized names to spellings, as unique_names gives
+        them; a name in both lists is embedded as the predicted list spells it.
+        """
+        spelling = {**relevant, **predicted}
+        vectors = [self._vector(spelling[key]) for key in (*predicted, *relevant)]
         return _hit_matrix(vectors[: len(predicted)], vectors[len(predicted) :], self.threshold)
 
 
 class ExactMatcher:
-    """Two names match when they are equal after normalize_name."""
+    """Two names match when their normalized names are equal."""
 
-    def hits(self, predicted: Sequence[str], relevant: Sequence[str]) -> np.ndarray:
-        """hits[i, j] is whether predicted[i] and relevant[j] match."""
-        # each distinct normalized name gets a number; numpy compares those
-        index: dict[str, int] = {}
-        keys = [
-            index.setdefault(normalize_name(name), len(index))
-            for name in (*predicted, *relevant)
-        ]
-        return np.equal.outer(keys[: len(predicted)], keys[len(predicted) :])
+    def hits(self, predicted: Mapping[str, str], relevant: Mapping[str, str]) -> np.ndarray:
+        """hits[i, j] is whether the i-th predicted and j-th relevant key match."""
+        # object arrays compare with str ==; numpy's fixed-width strings
+        # would drop trailing NULs and let "a\0" equal "a"
+        keys = [np.array(list(side), dtype=object) for side in (predicted, relevant)]
+        return np.equal.outer(*keys)
 
 
 def _max_bipartite_matching(adjacency: Sequence[Sequence[bool]]) -> int:
@@ -298,8 +295,8 @@ def similarity_f1(
     relevant concepts; pass one_to_one=True to force a bipartite
     assignment instead.
     """
-    pred_unique = ordered_unique(predicted)
-    rel_unique = ordered_unique(relevant)
+    pred_unique = unique_names(predicted)
+    rel_unique = unique_names(relevant)
     if not pred_unique:
         raise EmptyList("predicted list is empty")
     if not rel_unique:

@@ -363,10 +363,9 @@ def run_task_5(
     mentioned = extract_concepts(item.question, graph.matcher)
     neighborhood: list[str] = list(mentioned)
     for name in mentioned:
-        concept = graph.resolve(name)
         for direction in ("out", "in"):
-            for path in graph.neighborhood_paths(concept.id, direction, PROPOSAL_HOPS).paths:
-                neighborhood.extend(graph.path_names(path))
+            for path in execute(Neighbors(name, direction, PROPOSAL_HOPS), graph).named_paths:
+                neighborhood.extend(path)
     neighborhood = ordered_unique(neighborhood)
     prompt = build_proposal_prompt(item.question, neighborhood)
     answer = answer_oracle(prompt)

@@ -86,19 +86,6 @@ class VariantKind(Enum):
     ZERO_SHOT_RAG = "zs-rag"
 
 
-_VARIANT_BY_CODE = {kind.value: kind for kind in VariantKind}
-
-
-def variant_from_code(code: str) -> VariantKind:
-    try:
-        return _VARIANT_BY_CODE[code]
-    except KeyError:
-        raise RecoveryError(
-            f"unknown variant code {code!r}; expected one of "
-            f"{sorted(_VARIANT_BY_CODE)}"
-        ) from None
-
-
 @dataclass(frozen=True)
 class PromptVariant:
     """A variant kind plus its parameters.

@@ -83,19 +83,21 @@ def mentions_concept(text: str, name: str) -> bool:
     )
 
 
-def ordered_unique(items: Iterable[str]) -> list[str]:
-    """Deduplicate by normalized name, keeping first occurrences in order.
+def unique_names(items: Iterable[str]) -> dict[str, str]:
+    """Map each normalized name to its first spelling, in first-occurrence
+    order.
 
     Accepts any iterable of strings and normalizes each distinct string
     once: the first occurrence of a normalized key is always the first
     occurrence of some exact string, so skipping exact repeats first
-    keeps the same items.
+    keeps the same spellings.
     """
-    seen: set[str] = set()
-    out: list[str] = []
+    out: dict[str, str] = {}
     for item in dict.fromkeys(items):
-        key = normalize_name(item)
-        if key not in seen:
-            seen.add(key)
-            out.append(item)
+        out.setdefault(normalize_name(item), item)
     return out
+
+
+def ordered_unique(items: Iterable[str]) -> list[str]:
+    """Deduplicate by normalized name, keeping first occurrences in order."""
+    return list(unique_names(items).values())

@@ -64,11 +64,11 @@ from conceptgraph.recovery import (
     EdgeJudgment,
     PromptVariant,
     SamplingPlan,
+    VariantKind,
     Verdict,
     load_judgments,
     recover_graph,
     save_judgments,
-    variant_from_code,
 )
 
 
@@ -118,7 +118,7 @@ def hidden_dag(n: int = 50, density: float = 0.05, seed: int = 11):
 
 
 def zs() -> PromptVariant:
-    return PromptVariant(variant_from_code("zs"))
+    return PromptVariant(VariantKind("zs"))
 
 
 def test_criterion_1_perfect_oracle_recovery_identity():

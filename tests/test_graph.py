@@ -6,19 +6,23 @@ over the raw edge set for simple paths.
 """
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import conceptgraph.graph as graph_module
 from conceptgraph.graph import (
     Concept,
     ConceptGraph,
     EdgeRow,
     GraphError,
-    OrderingMismatch,
     PathResult,
     SelfLoop,
     TsvFormatError,
@@ -351,33 +355,6 @@ def test_path_result_sorts_and_deduplicates_nothing():
     assert not PathResult()
 
 
-# -- matrix form ---------------------------------------------------------------
-
-
-def test_adjacency_marks_exactly_the_edges():
-    rng = random.Random(5705)
-    for _ in range(20):
-        n = rng.randint(2, 6)
-        g = make_graph(n, sorted(random_edges(rng, n, 0.4)))
-        ordering = list(g.ids)
-        rng.shuffle(ordering)
-        matrix = g.adjacency(ordering)
-        assert matrix.shape == (n, n)
-        for i, a in enumerate(ordering):
-            for j, b in enumerate(ordering):
-                assert matrix[i, j] == ((a, b) in g.edges), (a, b)
-
-
-def test_adjacency_rejects_bad_orderings():
-    g = make_graph(3, [(0, 1)])
-    with pytest.raises(OrderingMismatch):
-        g.adjacency(["c0", "c1"])
-    with pytest.raises(OrderingMismatch):
-        g.adjacency(["c0", "c1", "c1"])
-    with pytest.raises(OrderingMismatch):
-        g.adjacency(["c0", "c1", "c9"])
-
-
 # -- TSV interchange -------------------------------------------------------------
 
 
@@ -456,3 +433,22 @@ def test_tsv_writers_refuse_tabs_and_line_breaks(tmp_path, bad):
     with pytest.raises(TsvFormatError, match="tab or a line break"):
         save_edge_rows([EdgeRow("a", bad, 1)], path)
     assert path.read_text() == "before\n"
+
+
+# -- imports ----------------------------------------------------------------------
+
+
+def test_the_graph_side_loads_no_numpy():
+    # recovery, traversal and QA grounding need only dicts and sets
+    src = str(Path(graph_module.__file__).parents[1])
+    modules = "graph, llm, pipeline, recovery, query, corpus, textnorm, files"
+    code = f"import sys; from conceptgraph import {modules}; print('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

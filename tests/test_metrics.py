@@ -506,6 +506,31 @@ def test_embedder_sees_the_first_spelling_of_a_name_in_either_list():
     assert seen == ["Graph", "tree", "node", "graph"]
 
 
+@pytest.mark.parametrize(
+    "matcher",
+    [ExactMatcher(), SimilarityMatcher(lambda text: [1.0, float(len(text))])],
+    ids=["exact", "similarity"],
+)
+def test_similarity_f1_normalizes_each_distinct_string_once(monkeypatch, matcher):
+    calls = Counter()
+
+    def counting(name):
+        calls[name] += 1
+        return normalize_name(name)
+
+    monkeypatch.setattr("conceptgraph.textnorm.normalize_name", counting)
+    monkeypatch.setattr("conceptgraph.metrics.normalize_name", counting)
+    predicted = ["Viterbi Algorithm", "viterbi  algorithm", "Viterbi Algorithm", "HMM"]
+    relevant = ["hmm", "Parsing", "Parsing"]
+    similarity_f1(predicted, relevant, matcher)
+    assert calls == Counter(set(predicted) | set(relevant))
+
+
+def test_exact_matching_tells_names_apart_by_a_trailing_nul():
+    assert similarity_f1(["a\0"], ["a"], ExactMatcher()) == (0.0, 0.0, 0.0)
+    assert similarity_f1(["a\0", "b"], ["a\0"], ExactMatcher()) == (0.5, 1.0, 2 / 3)
+
+
 def test_mean_similarity_f1_embeds_each_distinct_text_once():
     calls = Counter()
     embed = HashEmbedder(seed=2, dim=8)

@@ -43,7 +43,6 @@ from conceptgraph.recovery import (
     plan_pairs,
     recover_graph,
     save_judgments,
-    variant_from_code,
 )
 from conceptgraph.textnorm import mentions_concept, normalize_name, tokenize
 
@@ -420,9 +419,9 @@ def test_variant_parameter_validation():
         PromptVariant(VariantKind.ZERO_SHOT, rag_k=3)
     with pytest.raises(RecoveryError):
         PromptVariant(VariantKind.ZERO_SHOT_RAG, rag_k=0)
-    assert variant_from_code("zs-con") is VariantKind.ZERO_SHOT_CON
-    with pytest.raises(RecoveryError, match="unknown variant"):
-        variant_from_code("zs-doc-wiki")
+    assert VariantKind("zs-con") is VariantKind.ZERO_SHOT_CON
+    with pytest.raises(ValueError):
+        VariantKind("zs-doc-wiki")
 
 
 # -- verdict parsing --------------------------------------------------------------
