@@ -200,7 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
     live.add_argument("--endpoint", default=None, help="chat-completions URL for live oracles")
     live.add_argument("--llm-model", default=None, help="model name for live oracles")
     live.add_argument("--temperature", type=_non_negative_float, default=0.0)
-    live.add_argument("--timeout", type=_positive_float, default=30.0)
+    live.add_argument(
+        "--timeout",
+        type=_positive_float,
+        default=30.0,
+        help="seconds per attempt, not per call: a call makes up to 1 + --max-retries attempts",
+    )
     live.add_argument("--max-retries", type=_non_negative_int, default=3)
 
     rec = commands.add_parser(
@@ -407,9 +412,18 @@ def manifest_argv(manifest: RunManifest, *, output_dir: str | None = None) -> li
 
 def replay_manifest(path: str | Path, *, output_dir: str | None = None) -> int:
     """Re-execute the run a manifest describes; returns the exit status.
-    A replay from another directory than the run's, or a changed, missing
-    or unreadable input, raises DataError first."""
+    A config key that names no flag of the subcommand, a replay from
+    another directory than the run's, or a changed, missing or unreadable
+    input raises DataError first."""
     manifest = load_manifest(path)
+    argv = manifest_argv(manifest, output_dir=output_dir)
+    unknown = [arg for arg in build_parser().parse_known_args(argv)[1] if arg.startswith("--")]
+    if unknown:
+        keys = ", ".join(repr(flag[2:].replace("-", "_")) for flag in unknown)
+        raise DataError(
+            f"{path}: config keys with no {manifest.subcommand} flag: {keys}; "
+            "delete them from the manifest to replay"
+        )
     if manifest.cwd is not None and Path.cwd() != Path(manifest.cwd):
         raise DataError(f"{path}: replay from {manifest.cwd}, the directory the run was made in")
     for name, digest in manifest.inputs.items():
@@ -418,7 +432,7 @@ def replay_manifest(path: str | Path, *, output_dir: str | None = None) -> int:
                 raise DataError(f"{path}: input {name} changed since the run")
         except OSError as exc:
             raise DataError(f"{path}: cannot read input {name}: {exc.strerror}") from None
-    return main(manifest_argv(manifest, output_dir=output_dir))
+    return main(argv)
 
 
 # -- shared construction helpers ---------------------------------------------------

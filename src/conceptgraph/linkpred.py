@@ -23,10 +23,23 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from . import files
 from .textnorm import normalize_name
+
+
+class _Numpy:
+    """Stands in for numpy until the first numeric call, which imports it
+    and rebinds np, so importing this module does not load numpy."""
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy
+
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _Numpy()
 
 GCN_FORMAT = "conceptgraph.gcn-checkpoint"
 CONCAT_FORMAT = "conceptgraph.concat-checkpoint"

@@ -2,20 +2,19 @@
 
 Binary accuracy/F1 reports over Yes/No answers, a similarity-aware F1
 for concept-list answers where two names match by normalized name or
-by embedding cosine above a threshold, verdict tallies over edge
-judgments, and vocabulary mention counting in free text.
+by embedding cosine above a threshold, and vocabulary mention counting
+in free text. numpy is imported only where hashed embeddings are built
+and compared, so exact matching never loads it.
 """
 from __future__ import annotations
 
 import hashlib
 import statistics
 from collections import Counter
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .recovery import EdgeJudgment, Verdict
+from .recovery import Verdict
 from .textnorm import VocabularyMatcher, normalize_name, unique_names
 
 DEFAULT_THRESHOLD = 0.6
@@ -133,18 +132,13 @@ def binary_report(predictions: Sequence[object], gold: Sequence[object]) -> Eval
     return EvalReport(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
-def padded_cosine(u: Sequence[float], v: Sequence[float]) -> float:
-    """Cosine similarity after zero-padding the shorter vector.
+def cosine(u: Sequence[float], v: Sequence[float]) -> float:
+    """Cosine similarity of two vectors of one width; a zero vector has
+    cosine 0 with everything."""
+    import numpy as np
 
-    Padding lets embedders with growing dimensionality interoperate; a
-    zero vector has cosine 0 with everything.
-    """
     a = np.asarray(u, dtype=float)
     b = np.asarray(v, dtype=float)
-    if a.size < b.size:
-        a = np.concatenate([a, np.zeros(b.size - a.size)])
-    elif b.size < a.size:
-        b = np.concatenate([b, np.zeros(a.size - b.size)])
     norm = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
     if norm == 0.0:
         return 0.0
@@ -161,12 +155,13 @@ class SimilarityMatcher:
     Two names match when their cosine similarity is strictly greater
     than the threshold, which lies in (0, 1): at 1 nothing could match,
     not even two equal names. Each distinct text is embedded once for the
-    matcher's lifetime, so the embedder must be deterministic per text.
+    matcher's lifetime, so the embedder must be deterministic per text,
+    and every vector must have the width of the first.
     """
 
     embedder: Embedder
     threshold: float = DEFAULT_THRESHOLD
-    _vectors: dict[str, np.ndarray] = field(
+    _vectors: dict[str, Sequence[float]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -176,7 +171,9 @@ class SimilarityMatcher:
                 f"threshold must be in (0, 1), got {self.threshold}"
             )
 
-    def embed(self, text: str) -> np.ndarray:
+    def embed(self, text: str) -> Sequence[float]:
+        import numpy as np
+
         try:
             vector = np.asarray(self.embedder(text), dtype=float)
         except MetricsError:
@@ -189,15 +186,22 @@ class SimilarityMatcher:
             )
         return vector
 
-    def _vector(self, text: str) -> np.ndarray:
+    def _vector(self, text: str) -> Sequence[float]:
         """embed(text), computed on the first request for this exact text."""
         vector = self._vectors.get(text)
         if vector is None:
-            vector = self._vectors[text] = self.embed(text)
+            vector = self.embed(text)
+            width = len(next(iter(self._vectors.values()), vector))
+            if len(vector) != width:
+                raise EmbedderFailure(
+                    f"embedder returned {len(vector)} values for {text!r}, "
+                    f"after {width} for earlier texts"
+                )
+            self._vectors[text] = vector
         return vector
 
-    def hits(self, predicted: Mapping[str, str], relevant: Mapping[str, str]) -> np.ndarray:
-        """hits[i, j] is whether the i-th predicted and j-th relevant key match.
+    def hits(self, predicted: Mapping[str, str], relevant: Mapping[str, str]) -> list[list[bool]]:
+        """hits[i][j] is whether the i-th predicted and j-th relevant key match.
 
         Each list maps normalized names to spellings, as unique_names gives
         them; a name in both lists is embedded as the predicted list spells it.
@@ -210,12 +214,19 @@ class SimilarityMatcher:
 class ExactMatcher:
     """Two names match when their normalized names are equal."""
 
-    def hits(self, predicted: Mapping[str, str], relevant: Mapping[str, str]) -> np.ndarray:
-        """hits[i, j] is whether the i-th predicted and j-th relevant key match."""
-        # object arrays compare with str ==; numpy's fixed-width strings
-        # would drop trailing NULs and let "a\0" equal "a"
-        keys = [np.array(list(side), dtype=object) for side in (predicted, relevant)]
-        return np.equal.outer(*keys)
+    def hits(
+        self, predicted: Mapping[str, str], relevant: Mapping[str, str]
+    ) -> list[Sequence[bool]]:
+        """hits[i][j] is whether the i-th predicted and j-th relevant key match."""
+        # keys are unique within each list, so a row holds at most one hit,
+        # and the rows without one can share a tuple
+        column = {key: j for j, key in enumerate(relevant)}
+        miss = (False,) * len(column)
+        rows = []
+        for key in predicted:
+            j = column.get(key)
+            rows.append(miss if j is None else (*miss[:j], True, *miss[j + 1 :]))
+        return rows
 
 
 def _max_bipartite_matching(adjacency: Sequence[Sequence[bool]]) -> int:
@@ -224,7 +235,7 @@ def _max_bipartite_matching(adjacency: Sequence[Sequence[bool]]) -> int:
     Each search walks an explicit stack, so an augmenting path may be
     longer than the interpreter's recursion limit.
     """
-    if not len(adjacency):
+    if not adjacency:
         return 0
     neighbors = [[right for right, hit in enumerate(row) if hit] for row in adjacency]
     match_right: list[int | None] = [None] * len(adjacency[0])
@@ -254,30 +265,33 @@ def _max_bipartite_matching(adjacency: Sequence[Sequence[bool]]) -> int:
     return size
 
 
-def _unit_rows(vectors: Sequence[np.ndarray], width: int) -> np.ndarray:
-    """Zero-padded vectors as unit-norm rows; a zero vector stays zero."""
-    rows = np.zeros((len(vectors), width))
-    for i, vector in enumerate(vectors):
-        rows[i, : vector.size] = vector
+def _unit_rows(vectors: Sequence[Sequence[float]]):
+    """Vectors of one width as unit-norm rows; a zero vector stays zero."""
+    import numpy as np
+
+    rows = np.array(vectors, dtype=float)
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return rows / norms
 
 
 def _hit_matrix(
-    predicted: Sequence[np.ndarray], relevant: Sequence[np.ndarray], threshold: float
-) -> np.ndarray:
-    """hits[i, j] is padded_cosine(predicted[i], relevant[j]) > threshold.
+    predicted: Sequence[Sequence[float]],
+    relevant: Sequence[Sequence[float]],
+    threshold: float,
+) -> list[list[bool]]:
+    """hits[i][j] is cosine(predicted[i], relevant[j]) > threshold.
 
     All cosines come from one matrix product; the few within _TIE_BAND
-    of the threshold are decided by padded_cosine itself.
+    of the threshold are decided by cosine itself.
     """
-    width = max(vector.size for vector in (*predicted, *relevant))
-    cosines = _unit_rows(predicted, width) @ _unit_rows(relevant, width).T
+    import numpy as np
+
+    cosines = _unit_rows(predicted) @ _unit_rows(relevant).T
     hits = cosines > threshold
     for i, j in zip(*np.nonzero(np.abs(cosines - threshold) <= _TIE_BAND)):
-        hits[i, j] = padded_cosine(predicted[i], relevant[j]) > threshold
-    return hits
+        hits[i, j] = cosine(predicted[i], relevant[j]) > threshold
+    return hits.tolist()
 
 
 def similarity_f1(
@@ -309,8 +323,10 @@ def similarity_f1(
         precision = matched / len(pred_unique)
         recall = matched / len(rel_unique)
     else:
-        precision = int(hits.any(axis=1).sum()) / len(pred_unique)
-        recall = int(hits.any(axis=0).sum()) / len(rel_unique)
+        # only a row with a hit can give a column one
+        hit_rows = [row for row in hits if any(row)]
+        precision = len(hit_rows) / len(pred_unique)
+        recall = sum(map(any, zip(*hit_rows))) / len(rel_unique)
 
     s_f1 = (
         2 * precision * recall / (precision + recall)
@@ -367,6 +383,8 @@ class HashEmbedder:
         self.dim = dim
 
     def __call__(self, text: str) -> list[float]:
+        import numpy as np
+
         key = normalize_name(text)
         digest = hashlib.sha256(f"{self.seed}|{key}".encode()).digest()
         rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
@@ -376,17 +394,6 @@ class HashEmbedder:
             vector = rng.standard_normal(self.dim)
             norm = float(np.linalg.norm(vector))
         return (vector / norm).tolist()
-
-
-def confusion_counts(judgments: Iterable[EdgeJudgment]) -> tuple[int, int]:
-    """Tally of (yes, no) verdicts across edge judgments."""
-    yes = no = 0
-    for judgment in judgments:
-        if judgment.verdict is Verdict.YES:
-            yes += 1
-        else:
-            no += 1
-    return yes, no
 
 
 def concept_mentions(

